@@ -7,6 +7,7 @@ reachable through belt-tip pointers in the submit trace, never by rebasing.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -376,19 +377,15 @@ class ContributorSet:
             {k: list(v) for k, v in self.storage.items()},
         )
 
-
-def merge_contributor_union(core_set: ContributorSet, belt_set: ContributorSet, had_pull_request: bool) -> ContributorSet:
-    """Union per kind when a pull request preceded the merge; otherwise the
-    core set comes back unchanged."""
-    if not had_pull_request:
-        return core_set.copy()
-    merged = core_set.copy()
-    for kind in ("content", "review", "token", "storage"):
-        for key, proofs in belt_set.kind(kind).items():
-            for proof in proofs:
-                merged.add(kind, key, proof)
-            merged.add(kind, key)
-    return merged
+    def update(self, other: "ContributorSet"):
+        """Ordered union in place: new keys follow the held ones, and each
+        key's proofs follow its held proofs.  Proofs are not deduplicated:
+        a proof names its branch, so direct sets of different branches, the
+        only sets this unites, never share one."""
+        for name in ("content", "review", "token", "storage"):
+            mine = self.kind(name)
+            for key, proofs in other.kind(name).items():
+                mine.setdefault(key, []).extend(proofs)
 
 
 def get_submit(store: Store, cid: ContentId) -> Submit:
@@ -398,13 +395,7 @@ def get_submit(store: Store, cid: ContentId) -> Submit:
     return obj
 
 
-def submit_history(branch: Branch, store: Store, follow_parent: bool = False) -> list[Submit]:
-    """Submits from the stable head back toward the root, child first.
-
-    Without follow_parent the walk stops at the branch's root submit (the
-    initial submit's parent for derived branches, the singularity otherwise);
-    with it the walk continues through ancestor branches to the singularity.
-    """
+def _history(branch: Branch, store: Store, follow_parent: bool = False) -> list[tuple[ContentId, Submit]]:
     result = []
     seen = set()
     cursor = branch.stable_head
@@ -417,7 +408,7 @@ def submit_history(branch: Branch, store: Store, follow_parent: bool = False) ->
             submit = get_submit(store, cursor)
         except MissingRecord:
             raise IntegrityError(f"dangling submit {cursor.hex}")
-        result.append(submit)
+        result.append((cursor, submit))
         if not follow_parent and passed_initial:
             break
         if cursor == branch.initial_head:
@@ -428,8 +419,14 @@ def submit_history(branch: Branch, store: Store, follow_parent: bool = False) ->
     return result
 
 
-def history_ids(branch: Branch, store: Store, follow_parent: bool = False) -> list[ContentId]:
-    return [submit_id(s) for s in submit_history(branch, store, follow_parent)]
+def submit_history(branch: Branch, store: Store, follow_parent: bool = False) -> list[Submit]:
+    """Submits from the stable head back toward the root, child first.
+
+    Without follow_parent the walk stops at the branch's root submit (the
+    initial submit's parent for derived branches, the singularity otherwise);
+    with it the walk continues through ancestor branches to the singularity.
+    """
+    return [submit for _, submit in _history(branch, store, follow_parent)]
 
 
 def ancestry_ids(store: Store, head: ContentId) -> list[ContentId]:
@@ -454,10 +451,16 @@ def included_submits(store: Store, head: ContentId) -> dict[ContentId, Submit]:
     Treat the result as read-only.
     """
     cached = store.closure_cache.get(head)
-    if cached is not None:
-        return cached
+    if cached is None:
+        cached = store.closure_cache[head] = closure(store, [head])
+    return cached
+
+
+def closure(store: Store, heads: list[ContentId]) -> dict[ContentId, Submit]:
+    """Inclusion closure of several heads, in walk order: each parent chain
+    in full, then the belt tips it passed, latest found first."""
     included: dict[ContentId, Submit] = {}
-    frontier = [head]
+    frontier = list(reversed(heads))
     while frontier:
         cursor = frontier.pop()
         while cursor != NULL_ID and cursor not in included:
@@ -467,7 +470,6 @@ def included_submits(store: Store, head: ContentId) -> dict[ContentId, Submit]:
             if tip is not None:
                 frontier.append(tip)
             cursor = submit.parent
-    store.closure_cache[head] = included
     return included
 
 
@@ -514,19 +516,50 @@ def detect_conflicts(branch: Branch, store: Store) -> set[ConflictRecord]:
     return conflict_records(store, included, branch.branch_id)
 
 
-def collect_evidence(branch: Branch, store: Store) -> set[ContentId]:
+_NO_IDS = frozenset()
+
+
+def _attestations(store: Store, node_id: ContentId, memo: dict) -> frozenset:
+    """Ids of the storage attestations held in the bucket infos under a trie
+    node.  A node id fixes its whole subtree (a leaf id hashes its value
+    hash), so the answer is memoised per node and a new root only visits
+    the nodes its update path-copied.  An info record missing from the
+    store counts as holding none."""
+    found = memo.get(node_id)
+    if found is not None:
+        return found
+    if node_id == NULL_ID:
+        return _NO_IDS
+    node = trie_mod.load_node(store, node_id)
+    if isinstance(node, trie_mod.TrieLeaf):
+        try:
+            info = store.get_object(node.value_hash)
+        except MissingRecord:
+            info = None
+        ids = frozenset(object_id(a) for a in getattr(info, "storage_proofs", ())) or _NO_IDS
+    else:
+        children = (node.child,) if isinstance(node, trie_mod.TrieExtension) else node.children
+        ids = _NO_IDS
+        for child in children:
+            if child is not None:
+                child_ids = _attestations(store, child, memo)
+                if child_ids:
+                    ids = ids | child_ids
+    memo[node_id] = ids
+    return ids
+
+
+def collect_evidence(branch: Branch, store: Store, node_attestations: dict | None = None) -> set[ContentId]:
     """Every id a contribution proof may legitimately cite: the submits from
     root to head, the belt closures reachable from merge submits in that
     range, the records those submits introduce (buckets, commitments, review
-    items, containers), plus storage and token attestations."""
+    items, containers), plus storage and token attestations.
+    node_attestations, when the caller keeps one, memoises the attestations
+    per trie node."""
+    history = _history(branch, store)
+    tips = [s.submit_trace.belt_tip for _, s in history if s.submit_trace.belt_tip is not None]
     evidence: set[ContentId] = set()
-    history = submit_history(branch, store)
-    reachable: dict[ContentId, Submit] = {submit_id(s): s for s in history}
-    for submit in history:
-        tip = submit.submit_trace.belt_tip
-        if tip is not None:
-            reachable.update(included_submits(store, tip))
-    for cid, submit in reachable.items():
+    for cid, submit in itertools.chain(history, closure(store, tips).items()):
         evidence.add(cid)
         trace = submit.submit_trace
         evidence.update(trace.new_buckets)
@@ -534,16 +567,9 @@ def collect_evidence(branch: Branch, store: Store) -> set[ContentId]:
         for pr in trace.pull_requests:
             evidence.add(pr.review_container)
     if history:
-        head_trie = trie_mod.Trie(history[0].trie_root, store)
-        for _, value_hash in trie_mod.items(head_trie):
-            try:
-                info = store.get_object(value_hash)
-            except MissingRecord:
-                continue
-            for attestation in getattr(info, "storage_proofs", ()):
-                evidence.add(object_id(attestation))
-    for token in branch.branch_token:
-        evidence.add(content_id(token))
+        memo = node_attestations if node_attestations is not None else {}
+        evidence |= _attestations(store, history[0][1].trie_root, memo)
+    evidence.update(content_id(token) for token in branch.branch_token)
     return evidence
 
 

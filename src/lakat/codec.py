@@ -58,6 +58,8 @@ class ContentId:
         )
 
     def __lt__(self, other):
+        if not isinstance(other, ContentId):
+            return NotImplemented
         return (self.algo, self.digest) < (other.algo, other.digest)
 
     def __hash__(self):
@@ -141,6 +143,8 @@ def _write_varint(out: bytearray, value: int) -> None:
 
 
 def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
+    """Shortest-form varint only: a zero final byte after the first would
+    decode to the same value as the shorter encoding."""
     result = 0
     shift = 0
     while True:
@@ -150,6 +154,8 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
         pos += 1
         result |= (byte & 0x7F) << shift
         if not byte & 0x80:
+            if byte == 0 and shift:
+                raise CodecError("overlong varint")
             return result, pos
         shift += 7
         if shift > 63:
@@ -192,6 +198,17 @@ def _encode_value(out: bytearray, value) -> None:
         raise CodecError(f"unencodable value kind: {type(value).__name__}")
 
 
+def _field_check_errors() -> tuple:
+    """What a struct's constructor raises when decoded fields fail its own
+    checks (__post_init__) or have the wrong types.  Imported on use: those
+    modules import this one."""
+    from .branch import BranchError
+    from .lignify import LignificationError
+    from .trie import TrieError
+
+    return (BranchError, LignificationError, TrieError, CodecError, TypeError, ValueError)
+
+
 def _decode_value(data: bytes, pos: int):
     if pos >= len(data):
         raise CodecError("truncated value")
@@ -202,7 +219,9 @@ def _decode_value(data: bytes, pos: int):
     if kind == _K_BOOL:
         if pos >= len(data):
             raise CodecError("truncated bool")
-        return data[pos] != 0, pos + 1
+        if data[pos] > 1:
+            raise CodecError(f"bool byte must be 0 or 1, not {data[pos]}")
+        return data[pos] == 1, pos + 1
     if kind == _K_UINT:
         return _read_varint(data, pos)
     if kind in (_K_BYTES, _K_TEXT):
@@ -211,7 +230,12 @@ def _decode_value(data: bytes, pos: int):
             raise CodecError("truncated bytes")
         raw = data[pos : pos + length]
         pos += length
-        return (raw if kind == _K_BYTES else raw.decode("utf-8")), pos
+        if kind == _K_BYTES:
+            return raw, pos
+        try:
+            return raw.decode("utf-8"), pos
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"text is not valid UTF-8: {exc.reason}") from exc
     if kind == _K_CID:
         if pos + 1 + DIGEST_LEN > len(data):
             raise CodecError("truncated content id")
@@ -233,7 +257,10 @@ def _decode_value(data: bytes, pos: int):
         for _ in _FIELDS_BY_CLASS[cls]:
             value, pos = _decode_value(data, pos)
             values.append(value)
-        return cls(*values), pos
+        try:
+            return cls(*values), pos
+        except _field_check_errors() as exc:
+            raise CodecError(f"invalid {cls.__name__} fields: {exc}") from exc
     raise CodecError(f"unknown value kind tag {kind:#x}")
 
 

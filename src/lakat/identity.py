@@ -8,7 +8,7 @@ evidence actually lies in the branch history is checked by the branch layer.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -27,6 +27,11 @@ class KeyIdentity:
 
     public_key: bytes
     secret_key: bytes
+    # signing needs the parsed key object; build it once, not per signature
+    _private: Ed25519PrivateKey = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_private", Ed25519PrivateKey.from_private_bytes(self.secret_key))
 
     @classmethod
     def from_seed(cls, seed: bytes) -> "KeyIdentity":
@@ -42,7 +47,7 @@ class KeyIdentity:
         return cls(_public_bytes(private), raw)
 
     def sign(self, message: bytes) -> bytes:
-        return Ed25519PrivateKey.from_private_bytes(self.secret_key).sign(message)
+        return self._private.sign(message)
 
 
 def _public_bytes(private: Ed25519PrivateKey) -> bytes:

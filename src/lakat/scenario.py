@@ -119,7 +119,15 @@ def parse_scenario(text: str) -> Scenario:
     sim = SimConfig(int(sim_spec.get("seed", 0)), latency, schedule)
     actors = []
     actor_names = set()
-    for entry in data.get("actors", []):
+    actor_entries = data.get("actors", [])
+    if not isinstance(actor_entries, list):
+        raise ScenarioError("actors must be a list")
+    for index, entry in enumerate(actor_entries):
+        if not isinstance(entry, dict):
+            raise ScenarioError(f"actor {index}: must be an object with name and peer")
+        for key in ("name", "peer"):
+            if not isinstance(entry.get(key), str):
+                raise ScenarioError(f"actor {index}: {key!r} must be a string")
         name, peer = entry["name"], entry["peer"]
         if peer not in peers:
             raise ScenarioError(f"actor {name!r} assigned to undeclared peer {peer!r}")

@@ -31,7 +31,6 @@ from .branch import (
     derive_contributors,
     get_submit,
     included_submits,
-    merge_contributor_union,
 )
 from .requests import BranchRequests
 from .store import MemoryStore, MissingRecord, Store
@@ -64,8 +63,11 @@ class ProtocolState:
         self.spent: set[ContentId] = set()  # sprouts absorbed by donation
         self.requests: dict[ContentId, BranchRequests] = {}
         self.channel_capacity = channel_capacity
+        # memos of contributors(); every entry is a function of its key
         self._proof_ok: dict[ContributionProof, bool] = {}
-        self._evidence_cache: dict[tuple, set] = {}
+        self._direct: dict[ContentId, tuple] = {}  # branch -> (key, direct set, evidence set)
+        self._merges: dict[ContentId, tuple[tuple, frozenset]] = {}  # head -> (belts, PR pairs)
+        self._node_attestations: dict[ContentId, frozenset] = {}  # trie node -> attestation ids
 
     # -- registration ------------------------------------------------------
 
@@ -99,57 +101,99 @@ class ProtocolState:
             self._proof_ok[proof] = cached
         return cached
 
-    def _evidence(self, branch: Branch) -> set:
-        # the closure is a function of the head (chain + trie) and the token list
-        key = (branch.branch_id, branch.stable_head, len(branch.branch_token))
-        cached = self._evidence_cache.get(key)
-        if cached is None:
-            cached = collect_evidence(branch, self.store)
-            self._evidence_cache[key] = cached
-        return cached
+    def contributors(self, branch_id: ContentId) -> ContributorSet:
+        """Operational contributor set: the ordered union of the direct sets
+        of every branch reachable from this one.
 
-    def contributors(self, branch_id: ContentId, _visited: set | None = None) -> ContributorSet:
-        """Operational contributor set: directly proved contributions, sprout
-        wrap seeds, and merge unions for pull-request-preceded merges."""
-        visited = _visited if _visited is not None else set()
-        if branch_id in visited or branch_id not in self.branches:
-            return ContributorSet()
-        visited.add(branch_id)
-        branch = self.branches[branch_id]
-        result = derive_contributors(
-            branch,
-            [p for p in self.proofs.get(branch_id, []) if self._verified(p)],
-            self.store,
-            evidence=self._evidence(branch),
-            skip_verify=True,
-        )
-        wrap = self.wraps.get(branch_id)
-        if wrap is not None:
-            result.add("content", wrap.creator)
-            requesting = self.contributors(wrap.requesting_branch, visited)
-            result = merge_contributor_union(result, requesting, True)
-        for cid, submit in included_submits(self.store, branch.stable_head).items():
-            trace = submit.submit_trace
-            if trace.merged_branch is None:
+        A branch reaches the requesting branch of its sprout wrap, and every
+        belt that a submit in its inclusion closure merged, when the belt's
+        own closure carries a pull request from the belt to the branch.  The
+        walk is depth-first pre-order and visits each branch once: the wrap's
+        requesting branch first, then the belts in closure order.  A direct
+        set is the branch's verified proofs whose evidence lies in root..head
+        (derive_contributors), plus the wrap creator as a content key.
+
+        Memos: the direct set per branch, keyed on (stable head, token list,
+        accepted proof kinds, proof-list length), held with the branch's
+        evidence set, which a new proof reuses while head and tokens stay;
+        the merged belts and pull-request pairs per head; the
+        storage-attestation ids per trie node.  The result is a fresh set
+        the caller may change.
+        """
+        branches, merges, merge_index = self.branches, self._merges, self._merge_index
+        result = ContributorSet()
+        visited = set()
+        stack = [branch_id]
+        while stack:
+            current = stack.pop()
+            branch = branches.get(current)
+            if branch is None or current in visited:
                 continue
-            belt_id = trace.merged_branch
-            if belt_id not in self.branches:
-                continue
-            if self._merge_had_pull_request(branch_id, belt_id):
-                belt_set = self.contributors(belt_id, visited)
-                result = merge_contributor_union(result, belt_set, True)
+            visited.add(current)
+            result.update(self._direct_set(branch))
+            reached = []
+            wrap = self.wraps.get(current)
+            if wrap is not None:
+                result.add("content", wrap.creator)
+                reached.append(wrap.requesting_branch)
+            # the hot loop of the walk: one pair lookup per merge in the closure
+            for belt_id in (merges.get(branch.stable_head) or merge_index(branch.stable_head))[0]:
+                belt = branches.get(belt_id)
+                if belt is not None:
+                    pairs = (merges.get(belt.stable_head) or merge_index(belt.stable_head))[1]
+                    if (current, belt_id) in pairs:
+                        reached.append(belt_id)
+            stack.extend(reversed(reached))
         return result
 
-    def _merge_had_pull_request(self, core_id: ContentId, belt_id: ContentId) -> bool:
-        belt = self.branches[belt_id]
-        for submit in included_submits(self.store, belt.stable_head).values():
-            for pr in submit.submit_trace.pull_requests:
-                if pr.target_branch == core_id and pr.requesting_branch == belt_id:
-                    return True
-        return False
+    def _direct_set(self, branch: Branch) -> ContributorSet:
+        proofs = self.proofs.get(branch.branch_id, ())
+        key = (branch.stable_head, tuple(branch.branch_token), branch.config.accepted_proofs, len(proofs))
+        held = self._direct.get(branch.branch_id)
+        if held is not None and held[0] == key:
+            return held[1]
+        # the evidence is a function of (head, tokens): a new proof reuses it
+        if held is not None and held[0][:2] == key[:2]:
+            evidence = held[2]
+        else:
+            evidence = collect_evidence(branch, self.store, self._node_attestations)
+        direct = derive_contributors(
+            branch,
+            [p for p in proofs if self._verified(p)],
+            self.store,
+            evidence=evidence,
+            skip_verify=True,
+        )
+        self._direct[branch.branch_id] = (key, direct, evidence)
+        return direct
 
-    def is_contributor(self, branch_id: ContentId, key: bytes, kind: str | None = None) -> bool:
-        return self.contributors(branch_id).has(key, kind)
+    def _merge_index(self, head: ContentId) -> tuple[tuple, frozenset]:
+        """Belts merged in the closure of head, in closure order, and the
+        (target, requesting) pairs of its pull-request traces.  A closure never
+        changes, and a submit without a belt tip only puts itself in front of
+        its parent's closure, so such a head extends its parent's entry."""
+        index = self._merges.get(head)
+        if index is not None:
+            return index
+        if head == NULL_ID:
+            return (), frozenset()
+        submit = get_submit(self.store, head)
+        trace = submit.submit_trace
+        parent = self._merges.get(submit.parent)
+        if trace.belt_tip is None and (parent is not None or submit.parent == NULL_ID):
+            belts, pairs = parent if parent is not None else ((), frozenset())
+            if trace.merged_branch is not None:
+                belts = (trace.merged_branch,) + belts
+            if trace.pull_requests:
+                pairs = pairs | {(pr.target_branch, pr.requesting_branch) for pr in trace.pull_requests}
+        else:
+            included = included_submits(self.store, head).values()
+            belts = tuple(s.submit_trace.merged_branch for s in included
+                          if s.submit_trace.merged_branch is not None)
+            pairs = frozenset((pr.target_branch, pr.requesting_branch)
+                              for s in included for pr in s.submit_trace.pull_requests)
+        index = self._merges[head] = (belts, pairs)
+        return index
 
     # -- submit appending --------------------------------------------------
 

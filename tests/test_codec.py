@@ -187,3 +187,75 @@ def test_every_registered_struct_roundtrips(alice=None):
     ]
     for value in instances:
         assert canonical_decode(canonical_encode(value)) == value
+
+
+def test_overlong_varint_rejected():
+    # 01 85 00 would read as 5, whose canonical encoding is 01 05
+    assert canonical_encode(5) == bytes.fromhex("0105")
+    with pytest.raises(CodecError):
+        canonical_decode(bytes.fromhex("018500"))
+    with pytest.raises(CodecError):
+        canonical_decode(bytes.fromhex("0180808000"))
+    # a lone zero byte is the shortest encoding of 0
+    assert canonical_decode(bytes.fromhex("0100")) == 0
+
+
+def test_bool_byte_must_be_zero_or_one():
+    assert canonical_decode(bytes.fromhex("0700")) is False
+    assert canonical_decode(bytes.fromhex("0701")) is True
+    for byte in (0x02, 0x80, 0xFF):
+        with pytest.raises(CodecError):
+            canonical_decode(bytes([0x07, byte]))
+
+
+_CANONICAL_SAMPLES = [
+    canonical_encode(value)
+    for value in (
+        5,
+        True,
+        [b"ab", "héllo", None, [0, 300]],
+        LogicalTimestamp(12, b"anchor"),
+        Submit(NULL_ID, "msg", content_id(b"t"),
+               SubmitTrace(new_buckets=(content_id(b"n"),)), LogicalTimestamp(3)),
+        BranchConfig(acceptance_rule=AcceptanceRule("fraction", Rational(2, 3))),
+        BucketInfo(bucket_refs_out=(content_id(b"o"),)),
+    )
+]
+
+
+@st.composite
+def _mutated_encoding(draw):
+    data = bytearray(draw(st.sampled_from(_CANONICAL_SAMPLES)))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        index = draw(st.integers(min_value=0, max_value=len(data) - 1))
+        action = draw(st.sampled_from(("replace", "insert", "delete")))
+        if action == "replace":
+            data[index] = draw(st.integers(min_value=0, max_value=255))
+        elif action == "insert":
+            data.insert(index, draw(st.integers(min_value=0, max_value=255)))
+        elif len(data) > 1:
+            del data[index]
+    return bytes(data)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.binary(max_size=48) | _mutated_encoding())
+def test_decode_accepts_only_canonical_bytes(data):
+    """Bytes decode only if they re-encode to the same bytes, and every
+    rejection is a CodecError."""
+    try:
+        value = canonical_decode(data)
+    except CodecError:
+        return
+    assert canonical_encode(value) == data
+
+
+def test_mistyped_struct_field_is_a_codec_error():
+    # LogicalTimestamp(0) is its struct tag, the tick 0 and the anchor; put a
+    # content id where the integer tick belongs
+    good = canonical_encode(LogicalTimestamp(0))
+    tick = canonical_encode(0)
+    assert good[2:4] == tick
+    bad = good[:2] + canonical_encode(content_id(b"x")) + good[4:]
+    with pytest.raises(CodecError, match="invalid LogicalTimestamp fields"):
+        canonical_decode(bad)

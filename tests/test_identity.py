@@ -48,3 +48,10 @@ def test_contribution_proof_binds_all_fields(alice, bob):
     assert not replace(proof, kind="review").verify()
     assert not replace(proof, evidence=content_id(b"other")).verify()
     assert not replace(proof, signature=b"\x00" * 64).verify()
+
+
+def test_key_identity_signs_with_its_parsed_key(alice):
+    # the parsed key object is built once and is not part of equality
+    assert alice == KeyIdentity(alice.public_key, alice.secret_key)
+    assert hash(alice) == hash(KeyIdentity(alice.public_key, alice.secret_key))
+    assert "_private" not in repr(alice)

@@ -110,6 +110,24 @@ def test_cli_run_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("actors", [
+    ["ann"],
+    [{"peer": "p1"}],
+    [{"name": "ann"}],
+    [{"name": ["ann"], "peer": "p1"}],
+    {"name": "ann", "peer": "p1"},
+])
+def test_cli_malformed_actor_exits_2(tmp_path, capsys, actors):
+    scenario = json.loads(MINIMAL)
+    scenario["actors"] = actors
+    path = tmp_path / "bad-actor.json"
+    path.write_text(json.dumps(scenario))
+    assert cli_main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: actor")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_dump_and_verify_roundtrip(tmp_path, capsys):
     path = tmp_path / "minimal.json"
     path.write_text(MINIMAL)
