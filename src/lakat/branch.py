@@ -142,9 +142,6 @@ class SubmitTrace:
                 object.__setattr__(self, name, tuple(value))
 
 
-EMPTY_TRACE = SubmitTrace()
-
-
 @protocol_struct(8)
 @dataclass(frozen=True)
 class Submit:
@@ -578,13 +575,13 @@ def derive_contributors(
     proofs: list[ContributionProof],
     store: Store,
     evidence: set | None = None,
-    skip_verify: bool = False,
 ) -> ContributorSet:
     """Partition valid proofs by kind, dropping invalid signatures, foreign
     branches, disallowed kinds, and evidence outside root..head.
 
-    Callers that pre-verify signatures or pre-compute the evidence closure
-    can pass those in to avoid repeating the work.
+    Callers that pre-compute the evidence closure can pass it in to avoid
+    repeating the work; signatures are checked through the process-wide
+    signature cache of ``identity.verify_signature``.
     """
     result = ContributorSet()
     if evidence is None:
@@ -596,7 +593,7 @@ def derive_contributors(
             continue
         if proof.kind not in branch.config.accepted_proofs:
             continue
-        if not skip_verify and not proof.verify():
+        if not proof.verify():
             continue
         if proof.evidence not in evidence:
             continue

@@ -262,10 +262,5 @@ def check_context_membership(
     return needing_context <= contexted
 
 
-def with_refs_out(info: BucketInfo, refs: list[ContentId]) -> BucketInfo:
-    """Set the write-once outward reference list."""
-    return attach_info(info, InfoDelta(bucket_refs_out=tuple(refs)))
-
-
 def fresh_info(refs_out: list[ContentId]) -> BucketInfo:
     return replace(EMPTY_INFO, bucket_refs_out=tuple(refs_out))

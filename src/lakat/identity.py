@@ -8,6 +8,7 @@ evidence actually lies in the branch history is checked by the branch layer.
 from __future__ import annotations
 
 import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
@@ -21,6 +22,57 @@ from .codec import ContentId, canonical_encode, protocol_struct
 CONTRIBUTION_KINDS = ("content", "review", "token", "storage", "time")
 
 
+SIGNATURE_CACHE_ENTRIES = 1 << 14  # bound of SIGNATURE_CACHE; an entry takes about 150 bytes
+
+
+class SignatureCache:
+    """Valid (public key, message, signature) triples, keyed by a SHA-256
+    digest and held up to SIGNATURE_CACHE_ENTRIES, oldest evicted first.  Ed25519
+    verification is deterministic, so a triple that verified once verifies
+    again.  A triple enters after it verified, or when this process signed it
+    (seeded); the hit counters say which of the two answered."""
+
+    def __init__(self):
+        self._entries: OrderedDict[bytes, bool] = OrderedDict()  # digest -> seeded at sign time
+        self.seeded_hits = self.verified_hits = self.misses = self.evictions = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    @staticmethod
+    def key(public_key: bytes, message: bytes, signature: bytes) -> bytes:
+        """Digest of the triple; the two length prefixes keep field bounds apart."""
+        return hashlib.sha256(
+            b"%d:%d:" % (len(public_key), len(signature)) + public_key + signature + message
+        ).digest()
+
+    def hit(self, key: bytes) -> bool:
+        seeded = self._entries.get(key)
+        if seeded is None:
+            self.misses += 1
+        elif seeded:
+            self.seeded_hits += 1
+        else:
+            self.verified_hits += 1
+        return seeded is not None
+
+    def add(self, key: bytes, seeded: bool):
+        entries = self._entries
+        if key not in entries:
+            entries[key] = seeded
+            if len(entries) > SIGNATURE_CACHE_ENTRIES:
+                entries.popitem(last=False)
+                self.evictions += 1
+
+    def clear(self):
+        """Drop every entry and zero the counters."""
+        self._entries.clear()
+        self.seeded_hits = self.verified_hits = self.misses = self.evictions = 0
+
+
+SIGNATURE_CACHE = SignatureCache()
+
+
 @dataclass(frozen=True)
 class KeyIdentity:
     """Ed25519 keypair; the secret key never enters protocol objects."""
@@ -29,9 +81,16 @@ class KeyIdentity:
     secret_key: bytes
     # signing needs the parsed key object; build it once, not per signature
     _private: Ed25519PrivateKey = field(init=False, repr=False, compare=False)
+    # the public key derived from secret_key, the only one sign() vouches for
+    _derived: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_private", Ed25519PrivateKey.from_private_bytes(self.secret_key))
+        private = Ed25519PrivateKey.from_private_bytes(self.secret_key)
+        derived = _public_bytes(private)
+        if derived != self.public_key:
+            raise ValueError("public_key does not belong to secret_key")
+        object.__setattr__(self, "_private", private)
+        object.__setattr__(self, "_derived", derived)
 
     @classmethod
     def from_seed(cls, seed: bytes) -> "KeyIdentity":
@@ -40,14 +99,11 @@ class KeyIdentity:
         private = Ed25519PrivateKey.from_private_bytes(raw)
         return cls(_public_bytes(private), raw)
 
-    @classmethod
-    def generate(cls) -> "KeyIdentity":
-        private = Ed25519PrivateKey.generate()
-        raw = private.private_bytes_raw()
-        return cls(_public_bytes(private), raw)
-
     def sign(self, message: bytes) -> bytes:
-        return self._private.sign(message)
+        """Sign, and remember the triple as valid: it verifies by construction."""
+        signature = self._private.sign(message)
+        SIGNATURE_CACHE.add(SignatureCache.key(self._derived, message, signature), seeded=True)
+        return signature
 
 
 def _public_bytes(private: Ed25519PrivateKey) -> bytes:
@@ -55,12 +111,17 @@ def _public_bytes(private: Ed25519PrivateKey) -> bytes:
 
 
 def verify_signature(public_key: bytes, message: bytes, signature: bytes) -> bool:
-    """True iff signature is valid; malformed keys or signatures give False."""
+    """True iff signature is valid; malformed keys or signatures give False.
+    A valid triple is checked once and then answered from SIGNATURE_CACHE."""
     try:
+        key = SignatureCache.key(public_key, message, signature)
+        if SIGNATURE_CACHE.hit(key):
+            return True
         Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
-        return True
     except (InvalidSignature, ValueError, TypeError):
         return False
+    SIGNATURE_CACHE.add(key, seeded=False)
+    return True
 
 
 @protocol_struct(10)

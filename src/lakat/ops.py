@@ -142,12 +142,6 @@ class MergePlan:
     conflicts: set
     root_at: ContentId
 
-    def report(self) -> str:
-        return (
-            f"merge core={self.core.hex[:10]} belt={self.belt.hex[:10]} "
-            f"delta={len(self.bucket_delta)} conflicts={len(self.conflicts)}"
-        )
-
 
 def plan_merge(
     state: ProtocolState,
@@ -266,11 +260,6 @@ def execute_merge(
 def mark_stale(branch: Branch) -> Branch:
     branch.stale = True
     return branch
-
-
-def assert_not_stale(branch: Branch):
-    if branch.stale:
-        raise StaleBranch(f"branch {branch.branch_id.hex} is stale")
 
 
 def apply_config_change(

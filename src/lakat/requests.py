@@ -63,8 +63,3 @@ class BranchRequests:
         if channel not in CHANNELS:
             raise UnknownChannel(channel)
         return len(self.channels[channel])
-
-    def peek_all(self, channel: str) -> list:
-        if channel not in CHANNELS:
-            raise UnknownChannel(channel)
-        return list(self.channels[channel])

@@ -28,8 +28,6 @@ from .state import OK, ProtocolState, Verdict
 from .store import MissingRecord
 from . import trie as trie_mod
 
-PR_STATUSES = ("created", "mature", "under_review", "complete")
-
 
 @protocol_struct(15)
 @dataclass(frozen=True)
@@ -382,13 +380,3 @@ def merge_ready(state: ProtocolState, pr: PullRequest, target_config) -> bool:
         return False
     pr.status = "complete"
     return True
-
-
-def pr_status(state: ProtocolState, pr: PullRequest, target_config) -> str:
-    if merge_ready(state, pr, target_config):
-        return "complete"
-    if commitments_for(state, pr):
-        return "under_review"
-    if check_maturity(state, pr):
-        return "mature"
-    return "created"

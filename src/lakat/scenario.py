@@ -11,8 +11,8 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .codec import ContentId, canonical_encode
-from .identity import KeyIdentity
+from .codec import ContentId, canonical_encode, content_id
+from .identity import KeyIdentity, make_contribution_proof
 from .branch import (
     BranchConfig,
     PROPER,
@@ -26,12 +26,10 @@ from .branch import (
 )
 from .lignify import lignify, register_veto, cast_vote, wrap_merge_in_sprout
 from .ops import create_genesis_branch, create_rooted_branch, execute_merge, plan_merge
-from .review import PullRequest, commit_review, create_pull_request, submit_review
+from .review import PullRequest, commit_review, create_pull_request, submit_review, twig_push
 from .sim import SimConfig, World, route_request
 from .state import build_content_submit
-from .store import MemoryStore
-from .review import twig_push
-from .identity import make_contribution_proof
+from .store import MemoryStore, MissingRecord
 from . import trie as trie_mod
 
 DIRECTIVES = (
@@ -101,13 +99,16 @@ def parse_scenario(text: str) -> Scenario:
     if len(set(peers)) != len(peers):
         raise ScenarioError("duplicate peer names")
     latency_spec = sim_spec.get("latency", {"fixed": 1})
-    if "fixed" in latency_spec:
-        latency = ("fixed", int(latency_spec["fixed"]))
-    elif "uniform" in latency_spec:
-        low, high = latency_spec["uniform"]
-        latency = ("uniform", int(low), int(high))
-    else:
-        raise ScenarioError("latency must be {'fixed': k} or {'uniform': [a, b]}")
+    try:
+        if "fixed" in latency_spec:
+            latency = ("fixed", int(latency_spec["fixed"]))
+        else:
+            low, high = (int(bound) for bound in latency_spec["uniform"])
+            latency = ("uniform", low, high)
+    except (KeyError, TypeError, ValueError):
+        raise ScenarioError("latency must be {'fixed': k} or {'uniform': [a, b]}") from None
+    if latency[0] == "uniform" and low > high:
+        raise ScenarioError(f"latency uniform [{low}, {high}] needs a <= b")
     schedule = tuple(
         (int(item["tick"]), item["peer"], item["action"]) for item in sim_spec.get("schedule", ())
     )
@@ -147,6 +148,8 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"step {index}: undeclared branch {step[key]!r}")
 
     for index, step in enumerate(steps):
+        if not isinstance(step, dict):
+            raise ScenarioError(f"step {index}: must be an object with an op")
         op = step.get("op")
         if op not in DIRECTIVES:
             raise ScenarioError(f"step {index}: unknown directive {op!r}")
@@ -206,6 +209,8 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(f"step {index}: undeclared sprout {step['sprout']!r}")
         elif op == "advance_ticks":
             _need(step, index, "ticks")
+            if type(step["ticks"]) is not int or step["ticks"] < 0:
+                raise ScenarioError(f"step {index}: ticks must be a non-negative integer")
         elif op == "expect":
             _need(step, index, "that")
     return Scenario(sim, peers, actors, steps, data)
@@ -406,7 +411,7 @@ class Runner:
         self.world.flush_gossip(peer_name)
 
     def _op_advance_ticks(self, index, step):
-        self.world.run_until(self.world.tick + int(step["ticks"]))
+        self.world.run_until(self.world.tick + step["ticks"])
 
     def _op_expect(self, index, step):
         that = step["that"]
@@ -503,8 +508,6 @@ def verify_dump(path: str) -> list[str]:
     problems = []
     if not os.path.isdir(path):
         return [f"not a dump directory: {path}"]
-    from .codec import content_id
-
     for name in sorted(os.listdir(path)):
         peer_dir = os.path.join(path, name)
         if not os.path.isdir(peer_dir):
@@ -512,10 +515,14 @@ def verify_dump(path: str) -> list[str]:
         store = MemoryStore()
         log_path = os.path.join(peer_dir, "store.log")
         if os.path.exists(log_path):
-            with open(log_path) as fh:
+            with open(log_path, errors="replace") as fh:
                 for line_no, line in enumerate(fh, 1):
-                    hex_id, hex_bytes = line.strip().split(" ", 1)
-                    data = bytes.fromhex(hex_bytes)
+                    try:
+                        hex_id, hex_bytes = line.strip().split(" ", 1)
+                        data = bytes.fromhex(hex_bytes)
+                    except ValueError:
+                        problems.append(f"{name}: store.log line {line_no} malformed")
+                        continue
                     if content_id(data).hex != hex_id:
                         problems.append(f"{name}: store.log line {line_no} id mismatch")
                     store.put(data)
@@ -531,14 +538,17 @@ def verify_dump(path: str) -> list[str]:
                 roots = json.load(fh)
         for bid_hex, header in headers.items():
             branch = branch_header_from_json(header)
-            verdict = verify_branch(branch, store)
-            if not verdict.ok:
-                problems.append(f"{name}: branch {bid_hex[:12]} fails: {verdict.codes()}")
-            expected_root = roots.get(bid_hex)
-            if expected_root:
-                head = get_submit(store, branch.stable_head)
-                if head.trie_root.hex != expected_root:
-                    problems.append(f"{name}: branch {bid_hex[:12]} trie root mismatch")
-                else:
-                    trie_mod.items(trie_mod.Trie(head.trie_root, store))  # must be fully readable
+            try:
+                verdict = verify_branch(branch, store)
+                if not verdict.ok:
+                    problems.append(f"{name}: branch {bid_hex[:12]} fails: {verdict.codes()}")
+                expected_root = roots.get(bid_hex)
+                if expected_root:
+                    head = get_submit(store, branch.stable_head)
+                    if head.trie_root.hex != expected_root:
+                        problems.append(f"{name}: branch {bid_hex[:12]} trie root mismatch")
+                    else:
+                        trie_mod.items(trie_mod.Trie(head.trie_root, store))  # must be fully readable
+            except MissingRecord as exc:
+                problems.append(f"{name}: branch {bid_hex[:12]} misses record {exc}")
     return problems

@@ -14,9 +14,9 @@ import json
 import random
 from dataclasses import dataclass
 
-from .codec import ContentId, LogicalTimestamp, canonical_decode, canonical_encode, content_id
+from .codec import NULL_ID, ContentId, LogicalTimestamp, canonical_decode, canonical_encode, content_id
 from .identity import ContributionProof, KeyIdentity
-from .branch import Branch, SelectionEntry, branch_header_from_json
+from .branch import Branch, SelectionEntry, Submit, branch_header_from_json, get_submit
 from .lignify import SproutWrap
 from .state import ProtocolState
 from .store import MemoryStore
@@ -65,9 +65,6 @@ class Peer:
         self.sent_records: dict[str, int] = {}   # receiver -> store cursor already shipped
         self.sent_proofs: dict[str, set] = {}    # receiver -> proofs already shipped
         self.pending_headers: dict[str, str] = {}  # header key -> header text awaiting records
-
-    def tracks(self, branch_id: ContentId) -> bool:
-        return branch_id in self.tracked
 
 
 class World:
@@ -315,9 +312,6 @@ def receive_gossip(world: World, peer: Peer, payload: bytes):
 
 
 def _ancestry_contains(state: ProtocolState, head: ContentId, target: ContentId) -> bool:
-    from .codec import NULL_ID
-    from .branch import get_submit
-
     cursor = head
     steps = 0
     while cursor != NULL_ID and steps < 100_000:
@@ -331,9 +325,6 @@ def _ancestry_contains(state: ProtocolState, head: ContentId, target: ContentId)
 
 
 def _chain_length(state: ProtocolState, head: ContentId) -> int:
-    from .codec import NULL_ID
-    from .branch import get_submit
-
     length = 0
     cursor = head
     while cursor != NULL_ID and state.store.has(cursor):
@@ -359,9 +350,6 @@ def _merge_selections(local: Branch, remote: Branch):
 
 
 def _chain_resolvable(state: ProtocolState, head: ContentId) -> bool:
-    from .codec import NULL_ID
-    from .branch import Submit, get_submit
-
     cursor = head
     while cursor != NULL_ID:
         if not state.store.has(cursor):

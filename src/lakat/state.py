@@ -64,7 +64,6 @@ class ProtocolState:
         self.requests: dict[ContentId, BranchRequests] = {}
         self.channel_capacity = channel_capacity
         # memos of contributors(); every entry is a function of its key
-        self._proof_ok: dict[ContributionProof, bool] = {}
         self._direct: dict[ContentId, tuple] = {}  # branch -> (key, direct set, evidence set)
         self._merges: dict[ContentId, tuple[tuple, frozenset]] = {}  # head -> (belts, PR pairs)
         self._node_attestations: dict[ContentId, frozenset] = {}  # trie node -> attestation ids
@@ -86,20 +85,7 @@ class ProtocolState:
         if proof not in proofs:
             proofs.append(proof)
 
-    def head_submit(self, branch_id: ContentId) -> Submit:
-        return get_submit(self.store, self.branches[branch_id].stable_head)
-
-    def head_trie(self, branch_id: ContentId) -> trie_mod.Trie:
-        return trie_mod.Trie(self.head_submit(branch_id).trie_root, self.store)
-
     # -- contributors ------------------------------------------------------
-
-    def _verified(self, proof: ContributionProof) -> bool:
-        cached = self._proof_ok.get(proof)
-        if cached is None:
-            cached = proof.verify()
-            self._proof_ok[proof] = cached
-        return cached
 
     def contributors(self, branch_id: ContentId) -> ContributorSet:
         """Operational contributor set: the ordered union of the direct sets
@@ -157,13 +143,7 @@ class ProtocolState:
             evidence = held[2]
         else:
             evidence = collect_evidence(branch, self.store, self._node_attestations)
-        direct = derive_contributors(
-            branch,
-            [p for p in proofs if self._verified(p)],
-            self.store,
-            evidence=evidence,
-            skip_verify=True,
-        )
+        direct = derive_contributors(branch, proofs, self.store, evidence=evidence)
         self._direct[branch.branch_id] = (key, direct, evidence)
         return direct
 

@@ -115,9 +115,6 @@ class Trie:
     store: Store
     nibbles: int = KEY_NIBBLES
 
-    def is_empty(self) -> bool:
-        return self.root == NULL_ID
-
 
 def empty_trie(store: Store, nibbles: int = KEY_NIBBLES) -> Trie:
     return Trie(NULL_ID, store, nibbles)
@@ -226,9 +223,6 @@ class TrieProof:
     """Nodes along the root-to-leaf (or root-to-divergence) path, as stored bytes."""
 
     path: tuple
-
-    def hex_nodes(self) -> list[str]:
-        return [data.hex() for data in self.path]
 
 
 def prove(trie: Trie, bucket_id: ContentId) -> TrieProof:

@@ -128,6 +128,53 @@ def test_cli_malformed_actor_exits_2(tmp_path, capsys, actors):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda s: s["steps"].insert(1, "submit"), "step 1: must be an object"),
+    (lambda s: s["steps"].insert(0, ["op", "submit"]), "step 0: must be an object"),
+    (lambda s: s["sim"].update(latency={"uniform": [5, 1]}), "latency uniform [5, 1]"),
+    (lambda s: s["sim"].update(latency={"uniform": [1]}), "latency must be"),
+    (lambda s: s["sim"].update(latency={"fixed": "x"}), "latency must be"),
+    (lambda s: s["sim"].update(latency=5), "latency must be"),
+    (lambda s: s["steps"][2].update(ticks=-5), "step 2: ticks must be a non-negative integer"),
+    (lambda s: s["steps"][2].update(ticks="2"), "step 2: ticks must be a non-negative integer"),
+], ids=["step-string", "step-list", "uniform-reversed", "uniform-short", "fixed-string", "latency-number",
+        "ticks-negative", "ticks-string"])
+def test_cli_malformed_step_or_latency_exits_2(tmp_path, capsys, edit, message):
+    scenario = json.loads(MINIMAL)
+    edit(scenario)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    assert cli_main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_uniform_latency_runs(tmp_path, capsys):
+    scenario = json.loads(MINIMAL)
+    scenario["sim"]["latency"] = {"uniform": [1, 3]}
+    path = tmp_path / "uniform.json"
+    path.write_text(json.dumps(scenario))
+    assert cli_main(["run", str(path)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("garbage", ["garbage", "zz zz", "01ab not-hex", "\u00ff\u00fe"])
+def test_cli_verify_reports_malformed_store_log_line(tmp_path, capsys, garbage):
+    path = tmp_path / "minimal.json"
+    path.write_text(MINIMAL)
+    dump_dir = tmp_path / "dump"
+    assert cli_main(["run", str(path), "--dump", str(dump_dir)]) == 0
+    capsys.readouterr()
+    log_path = dump_dir / "p1" / "store.log"
+    lines = log_path.read_text().splitlines()
+    for line_no in range(1, len(lines) + 1):  # each line in turn, so every record goes missing once
+        broken = lines[:line_no - 1] + [garbage] + lines[line_no:]
+        log_path.write_text("\n".join(broken) + "\n")
+        assert cli_main(["verify", str(dump_dir)]) == 1
+        assert f"p1: store.log line {line_no} malformed" in capsys.readouterr().err.splitlines()
+
+
 def test_dump_and_verify_roundtrip(tmp_path, capsys):
     path = tmp_path / "minimal.json"
     path.write_text(MINIMAL)
