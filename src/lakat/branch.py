@@ -332,7 +332,7 @@ class ConflictRecord:
 
     @classmethod
     def normalized(cls, branch, parent_submit, a, b) -> "ConflictRecord":
-        left, right = sorted((a, b), key=lambda c: c.hex)
+        left, right = sorted((a, b))
         return cls(branch, parent_submit, left, right)
 
 
@@ -663,8 +663,11 @@ def verify_branch(branch: Branch, store: Store) -> BranchVerdict:
                 submit_buckets[cid] = obj
         if set(submit_buckets) != new_ids:
             continue
-        if not check_context_membership(new_ids, submit_buckets, store):
-            verdict.fail("context-membership", submit_id(submit).hex)
+        try:
+            if not check_context_membership(new_ids, submit_buckets, store):
+                verdict.fail("context-membership", submit_id(submit).hex)
+        except MissingRecord as exc:  # an arrangement record of a molecular bucket
+            verdict.fail("missing-record", str(exc))
     if not branch.config.accept_conflicts:
         if detect_conflicts(branch, store):
             verdict.fail("conflict-policy", "conflicts present but not accepted")

@@ -30,44 +30,35 @@ class CodecError(Exception):
     """Value cannot be canonically encoded or bytes cannot be decoded."""
 
 
-class ContentId:
-    """Algorithm-tagged 32-byte content hash.
+class ContentId(bytes):
+    """Algorithm-tagged 32-byte content hash, held as 33 bytes: tag, then digest.
 
-    Hand-rolled (not a dataclass): content ids key nearly every map in the
-    system, so equality and hashing stay on the fast path with a cached hash.
-    Treat instances as immutable.
+    A `bytes` subclass, so hashing (cached), equality and ordering run in C.
+    An id equals the plain bytes of its value, which the decoder keeps out of
+    id fields, and byte order is the order of the lowercase hex forms.
     """
 
-    __slots__ = ("algo", "digest", "_hash")
+    __slots__ = ()
 
-    def __init__(self, algo: int, digest: bytes):
+    def __new__(cls, algo: int, digest: bytes):
         if not 0 <= algo <= 0xFF:
             raise CodecError(f"algo tag out of range: {algo}")
         if len(digest) != DIGEST_LEN:
             raise CodecError(f"digest must be {DIGEST_LEN} bytes")
-        self.algo = algo
-        self.digest = digest
-        self._hash = hash((algo, digest))
+        return bytes.__new__(cls, bytes((algo,)) + digest)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ContentId)
-            and self._hash == other._hash
-            and self.algo == other.algo
-            and self.digest == other.digest
-        )
-
-    def __lt__(self, other):
-        if not isinstance(other, ContentId):
-            return NotImplemented
-        return (self.algo, self.digest) < (other.algo, other.digest)
-
-    def __hash__(self):
-        return self._hash
+    def __getnewargs__(self):
+        return self[0], self[1:]
 
     @property
-    def hex(self) -> str:
-        return f"{self.algo:02x}{self.digest.hex()}"
+    def algo(self) -> int:
+        return self[0]
+
+    @property
+    def digest(self) -> bytes:
+        return self[1:]
+
+    hex = property(bytes.hex, doc="Lowercase hex of the 33 bytes.")
 
     @classmethod
     def from_hex(cls, text: str) -> "ContentId":
@@ -81,13 +72,16 @@ class ContentId:
     def __repr__(self):
         return f"ContentId({self.hex[:10]}..)"
 
+    __str__ = __repr__
+
 
 NULL_ID = ContentId(0x00, b"\x00" * DIGEST_LEN)
+_SHA256_PREFIX = bytes((SHA256_TAG,))
 
 
 def content_id(data: bytes) -> ContentId:
     """Content id of raw bytes: SHA-256 under the fixed algorithm tag."""
-    return ContentId(SHA256_TAG, hashlib.sha256(data).digest())
+    return bytes.__new__(ContentId, _SHA256_PREFIX + hashlib.sha256(data).digest())
 
 
 @dataclass(frozen=True)
@@ -106,6 +100,10 @@ class LogicalTimestamp:
 _STRUCT_BY_CODE: dict[int, type] = {}
 _CODE_BY_CLASS: dict[type, int] = {}
 _FIELDS_BY_CLASS: dict[type, tuple] = {}
+# (index, name, type, None allowed) of each field annotated `ContentId` or
+# `bytes`, optionally `| None`; the decoder holds such fields to that type
+_TYPED_FIELDS_BY_CLASS: dict[type, tuple] = {}
+_EXACT_TYPES = {"ContentId": ContentId, "bytes": bytes}
 
 
 def protocol_struct(code: int):
@@ -117,6 +115,12 @@ def protocol_struct(code: int):
         _STRUCT_BY_CODE[code] = cls
         _CODE_BY_CLASS[cls] = code
         _FIELDS_BY_CLASS[cls] = tuple(field.name for field in dc_fields(cls))
+        _TYPED_FIELDS_BY_CLASS[cls] = tuple(
+            (index, field.name, _EXACT_TYPES[kind], bool(or_none))
+            for index, field in enumerate(dc_fields(cls))
+            for kind, or_none, _ in (str(field.type).partition(" | None"),)
+            if kind in _EXACT_TYPES
+        )
         return cls
 
     return register
@@ -165,6 +169,9 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
 def _encode_value(out: bytearray, value) -> None:
     if value is None:
         out.append(_K_ABSENT)
+    elif isinstance(value, ContentId):  # before bytes: an id is a bytes value
+        out.append(_K_CID)
+        out.extend(value)
     elif isinstance(value, bool):
         out.append(_K_BOOL)
         out.append(1 if value else 0)
@@ -180,10 +187,6 @@ def _encode_value(out: bytearray, value) -> None:
         out.append(_K_TEXT)
         _write_varint(out, len(raw))
         out.extend(raw)
-    elif isinstance(value, ContentId):
-        out.append(_K_CID)
-        out.append(value.algo)
-        out.extend(value.digest)
     elif isinstance(value, (list, tuple)):
         out.append(_K_LIST)
         _write_varint(out, len(value))
@@ -239,8 +242,8 @@ def _decode_value(data: bytes, pos: int):
     if kind == _K_CID:
         if pos + 1 + DIGEST_LEN > len(data):
             raise CodecError("truncated content id")
-        cid = ContentId(data[pos], data[pos + 1 : pos + 1 + DIGEST_LEN])
-        return cid, pos + 1 + DIGEST_LEN
+        end = pos + 1 + DIGEST_LEN
+        return bytes.__new__(ContentId, data[pos:end]), end
     if kind == _K_LIST:
         count, pos = _read_varint(data, pos)
         items = []
@@ -257,6 +260,9 @@ def _decode_value(data: bytes, pos: int):
         for _ in _FIELDS_BY_CLASS[cls]:
             value, pos = _decode_value(data, pos)
             values.append(value)
+        for index, name, exact, nullable in _TYPED_FIELDS_BY_CLASS[cls]:
+            if type(values[index]) is not exact and not (nullable and values[index] is None):
+                raise CodecError(f"{cls.__name__}.{name} must hold {exact.__name__}")
         try:
             return cls(*values), pos
         except _field_check_errors() as exc:

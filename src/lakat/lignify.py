@@ -202,14 +202,14 @@ def default_successor(state: ProtocolState, branch: Branch) -> ContentId | None:
     """Deterministic default choice: earliest created sprout, ties broken by
     smallest id."""
     known = [
-        (tick, e.sprout.hex, e.sprout)
+        (tick, e.sprout)
         for e in branch.sprout_selection
         for tick in (_creation_tick(state, e.sprout),)
         if tick is not None
     ]
     if not known:
         return None
-    return min(known)[2]
+    return min(known)[1]
 
 
 def _window_end(open_tick: int, params: LignificationParams) -> int:
@@ -277,7 +277,7 @@ def vote_winner(state: ProtocolState, branch: Branch) -> ContentId | None:
     for entry in branch.sprout_selection:
         for vote in entry.votes:
             current = latest.get(vote.voter)
-            if current is None or (vote.tick, vote.sprout.hex) > (current.tick, current.sprout.hex):
+            if current is None or (vote.tick, vote.sprout) > (current.tick, current.sprout):
                 latest[vote.voter] = vote
     tally: dict[ContentId, int] = {entry.sprout: 0 for entry in branch.sprout_selection}
     for vote in latest.values():
@@ -286,7 +286,7 @@ def vote_winner(state: ProtocolState, branch: Branch) -> ContentId | None:
     if not tally:
         return None
     best = max(tally.values())
-    leaders = sorted((s for s, n in tally.items() if n == best), key=lambda s: s.hex)
+    leaders = sorted(s for s, n in tally.items() if n == best)
     if best == 0 or len(leaders) > 1:
         return default_successor(state, branch)
     return leaders[0]

@@ -214,10 +214,7 @@ def execute_merge(
     new_trie = trie_mod.Trie(base_submit.trie_root, store)
     belt_trie = trie_mod.Trie(get_submit(store, belt.stable_head).trie_root, store)
     base_buckets = trie_mod.bucket_ids(new_trie)
-    incoming = sorted(
-        (cid for cid in trie_mod.bucket_ids(belt_trie) if cid not in base_buckets),
-        key=lambda c: c.hex,
-    )
+    incoming = sorted(cid for cid in trie_mod.bucket_ids(belt_trie) if cid not in base_buckets)
     for cid in incoming:
         info = trie_mod.get(belt_trie, cid)
         new_trie = trie_mod.insert(new_trie, cid, info)

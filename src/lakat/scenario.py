@@ -267,7 +267,7 @@ class Runner:
         for peer_name, peer in world.peers.items():
             headers[peer_name] = {
                 bid.hex: peer.state.branches[bid].header_json()
-                for bid in sorted(peer.state.branches, key=lambda c: c.hex)
+                for bid in sorted(peer.state.branches)
             }
         self.report.headers = headers
         return self.report
@@ -290,7 +290,6 @@ class Runner:
                 state, parent.stable_head, parent_id, creator, self.world.now(), config
             )
         self.branches[step["name"]] = (branch.branch_id, peer_name)
-        self.world.peers[peer_name].tracked.add(branch.branch_id)
         self.world.action(peer_name, f"create_branch {step['name']} {branch.branch_id.hex[:10]}")
         route_request(self.world, peer_name, branch.branch_id, "branch_creation_broadcast",
                       branch.branch_id.hex.encode())
@@ -484,7 +483,7 @@ def dump_state(world: World, path: str):
         os.makedirs(peer_dir, exist_ok=True)
         headers = {
             bid.hex: peer.state.branches[bid].header_json()
-            for bid in sorted(peer.state.branches, key=lambda c: c.hex)
+            for bid in sorted(peer.state.branches)
         }
         with open(os.path.join(peer_dir, "headers.json"), "w") as fh:
             json.dump(headers, fh, sort_keys=True, indent=1)
@@ -492,7 +491,7 @@ def dump_state(world: World, path: str):
             for cid in peer.state.store.ids():
                 fh.write(f"{cid.hex} {peer.state.store.get(cid).hex()}\n")
         roots = {}
-        for bid in sorted(peer.state.branches, key=lambda c: c.hex):
+        for bid in sorted(peer.state.branches):
             branch = peer.state.branches[bid]
             try:
                 head = get_submit(peer.state.store, branch.stable_head)

@@ -60,7 +60,6 @@ class Peer:
         self.identity = identity
         self.online = True
         self.state = ProtocolState(MemoryStore())
-        self.tracked: set[ContentId] = set()
         self.last_gossiped: dict[ContentId, tuple] = {}
         self.sent_records: dict[str, int] = {}   # receiver -> store cursor already shipped
         self.sent_proofs: dict[str, set] = {}    # receiver -> proofs already shipped
@@ -137,7 +136,7 @@ class World:
         for other in self.peers.values():
             if other.name == joiner or not other.online:
                 continue
-            for branch_id in sorted(other.state.branches, key=lambda c: c.hex):
+            for branch_id in sorted(other.state.branches):
                 payload = build_gossip_payload(other, branch_id, full_records=True)
                 event = SimEvent(at + self._latency(), GOSSIP, other.name, joiner, payload,
                                  f"sync {branch_id.hex[:10]}")
@@ -189,12 +188,11 @@ class World:
         if not peer.online:
             return
         dirty = []
-        for branch_id in sorted(peer.state.branches, key=lambda c: c.hex):
+        for branch_id in sorted(peer.state.branches):
             print_ = peer.state.branches[branch_id].fingerprint()
             if peer.last_gossiped.get(branch_id) != print_:
                 dirty.append(branch_id)
         for branch_id in dirty:
-            peer.tracked.add(branch_id)
             peer.last_gossiped[branch_id] = peer.state.branches[branch_id].fingerprint()
             head = peer.state.branches[branch_id].stable_head.hex[:10]
             for other in self.peers.values():
@@ -245,7 +243,7 @@ def build_gossip_payload(
         wrap = state.wraps.get(cid)
         if wrap is not None:
             wraps.append(wrap)
-    wraps.sort(key=lambda w: w.sprout.hex)
+    wraps.sort(key=lambda w: w.sprout)
     proofs = list(state.proofs.get(branch_id, []))
     order = state.store.ids()
     if full_records or receiver is None:
@@ -278,7 +276,7 @@ def build_gossip_payload(
 def receive_gossip(world: World, peer: Peer, payload: bytes):
     state = peer.state
     decoded = canonical_decode(payload)
-    _, branch_id, headers, wraps, proofs, records, ousted, spent = decoded
+    _, _, headers, wraps, proofs, records, ousted, spent = decoded
     for record in records:
         state.store.put(record)
     for wrap in wraps:
@@ -306,7 +304,6 @@ def receive_gossip(world: World, peer: Peer, payload: bytes):
             changed = True
         if resolvable:
             del peer.pending_headers[key]
-    peer.tracked.add(branch_id)
     if changed:
         world.flush_gossip(peer.name)
 
@@ -402,9 +399,9 @@ def adopt_header(state: ProtocolState, header_text: str) -> tuple[bool, bool]:
     else:
         if not _chain_resolvable(state, remote.stable_head):
             return False, False
-        mine = (_chain_length(state, local.stable_head), local.stable_head.hex)
-        theirs = (_chain_length(state, remote.stable_head), remote.stable_head.hex)
-        if (theirs[0], theirs[1]) > (mine[0], mine[1]):
+        mine = (_chain_length(state, local.stable_head), local.stable_head)
+        theirs = (_chain_length(state, remote.stable_head), remote.stable_head)
+        if theirs > mine:
             _adopt_fields(local, remote)
     return local.fingerprint() != before, True
 
@@ -431,7 +428,6 @@ def route_request(world: World, src_peer: str, branch_id: ContentId, channel: st
     if branch_id not in sender.state.branches:
         world.log(world.tick, BRANCH_REQUEST, src_peer, "-", f"drop-untracked {branch_id.hex[:10]}")
         return set()
-    sender.tracked.add(branch_id)
     contributors = sender.state.contributors(branch_id).all_keys()
     recipients = set()
     for key in contributors:

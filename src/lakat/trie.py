@@ -55,20 +55,17 @@ class TrieBranch:
             raise TrieError("branch node needs 16 children")
 
 
+_NIBBLE_OF_HEX_DIGIT = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+
 def trie_key(bucket_id: ContentId, nibbles: int = KEY_NIBBLES) -> bytes:
-    """Truncated key: the first `nibbles` nibbles of the digest."""
-    out = bytearray()
-    for byte in bucket_id.digest:
-        out.append(byte >> 4)
-        out.append(byte & 0x0F)
-        if len(out) >= nibbles:
-            break
-    return bytes(out[:nibbles])
+    """Truncated key: the first `nibbles` nibbles of the digest, one per byte."""
+    return bucket_id.hex[2 : 2 + nibbles].encode().translate(_NIBBLE_OF_HEX_DIGIT)
 
 
 def _node_bytes(node) -> bytes:
     if isinstance(node, TrieLeaf):
-        return bytes([node.salt.algo]) + node.salt.digest + canonical_encode(node)
+        return node.salt + canonical_encode(node)
     return canonical_encode(node)
 
 
@@ -89,9 +86,8 @@ def decode_node(data: bytes):
         return node
     if len(data) < 34:
         raise TrieError("truncated salted leaf record")
-    salt = ContentId(data[0], data[1:33])
     node = canonical_decode(data[33:])
-    if not isinstance(node, TrieLeaf) or node.salt != salt:
+    if not isinstance(node, TrieLeaf) or node.salt != data[:33]:
         raise TrieError("salted record does not carry a matching leaf")
     return node
 
@@ -299,7 +295,7 @@ def items(trie: Trie) -> list[tuple[ContentId, ContentId]]:
                     visit(child)
 
     visit(trie.root)
-    return sorted(results, key=lambda pair: pair[0].hex)
+    return sorted(results)
 
 
 def bucket_ids(trie: Trie) -> set[ContentId]:

@@ -506,7 +506,6 @@ def test_c9_capacity_and_routing():
     world = World(SimConfig(9, ("uniform", 1, 3), ((4, "p3", "leave"),)), ["p1", "p2", "p3"])
     p1 = world.peers["p1"]
     branch = create_genesis_branch(p1.state, twig_config(), p1.identity, world.now())
-    p1.tracked.add(branch.branch_id)
     for peer in world.peers.values():
         p1.state.add_proof(make_contribution_proof(peer.identity, branch.branch_id,
                                                    "content", branch.initial_head))

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from lakat.bucket import is_molecular
 from lakat.codec import LogicalTimestamp, NULL_ID, canonical_encode, content_id
 from lakat.identity import make_contribution_proof
 from lakat.branch import (
@@ -301,6 +302,22 @@ def test_tampered_upstream_submit_detected(state, alice):
     verdict = verify_branch(branch, state.store)
     assert not verdict.ok
     assert "submit-id-mismatch" in verdict.codes()
+
+
+def test_missing_arrangement_record_is_a_verdict(state, alice):
+    """A store copy without a molecular bucket's arrangement record fails the
+    branch with a code; verify_branch raises nothing."""
+    branch = create_genesis_branch(state, twig_config(), alice, tick(0))
+    _push_payload(state, branch, alice, b"x", 1)
+    head = get_submit(state.store, branch.stable_head)
+    buckets = [state.store.get_object(cid) for cid in head.submit_trace.new_buckets]
+    arrangement = next(b.data_root for b in buckets if is_molecular(b))
+    copy = MemoryStore()
+    for cid in state.store.ids():
+        if cid != arrangement:
+            copy.put(state.store.get(cid))
+    verdict = verify_branch(branch, copy)
+    assert ("missing-record", arrangement.hex) in verdict.failures
 
 
 def test_timestamp_regression_detected(state, alice):

@@ -1,3 +1,6 @@
+import copy
+import hashlib
+import pickle
 import random
 
 import pytest
@@ -144,7 +147,42 @@ def test_content_id_text_form():
     assert len(cid.hex) == 66
     assert cid.hex.startswith("01")
     assert ContentId.from_hex(cid.hex) == cid
+    assert type(ContentId.from_hex(cid.hex)) is ContentId
     assert NULL_ID.hex == "00" + "0" * 64
+    assert repr(content_id(b"")) == str(content_id(b"")) == "ContentId(01e3b0c442..)"
+    assert f"{NULL_ID}" == "ContentId(0000000000..)"
+
+
+def test_content_id_encoding_and_raw_bytes():
+    cid = content_id(b"x")
+    assert canonical_encode(cid) == b"\x05\x01" + hashlib.sha256(b"x").digest()
+    assert (cid.algo, cid.digest) == (0x01, hashlib.sha256(b"x").digest())
+    assert ContentId(cid.algo, cid.digest) == cid
+    for twin in (pickle.loads(pickle.dumps(cid)), copy.deepcopy(cid)):
+        assert type(twin) is ContentId and twin == cid
+    # an id equals its raw bytes, but raw bytes still encode and decode as bytes
+    raw = bytes(cid)
+    assert raw == cid and hash(raw) == hash(cid)
+    assert canonical_encode(raw) == b"\x02\x21" + raw
+    assert type(canonical_decode(canonical_encode(raw))) is bytes
+    assert type(canonical_decode(canonical_encode(cid))) is ContentId
+    with pytest.raises(CodecError):
+        ContentId(0x100, cid.digest)
+    with pytest.raises(CodecError):
+        ContentId(0x01, cid.digest[:-1])
+
+
+def test_content_id_orders_only_against_ids_and_bytes():
+    with pytest.raises(TypeError):
+        content_id(b"x") < 5
+    with pytest.raises(TypeError):
+        content_id(b"x") < "01"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(ContentId, st.integers(0, 255), st.binary(min_size=32, max_size=32)), max_size=20))
+def test_id_order_is_hex_order(ids):
+    assert sorted(ids) == sorted(ids, key=lambda c: c.hex)
 
 
 def test_every_registered_struct_roundtrips(alice=None):
@@ -258,4 +296,39 @@ def test_mistyped_struct_field_is_a_codec_error():
     assert good[2:4] == tick
     bad = good[:2] + canonical_encode(content_id(b"x")) + good[4:]
     with pytest.raises(CodecError, match="invalid LogicalTimestamp fields"):
+        canonical_decode(bad)
+
+
+def _id_written_as_bytes(value, cid) -> bytes:
+    """The canonical bytes of `value` with its one encoded `cid` rewritten
+    as a plain 33-byte bytes value."""
+    encoded, as_id = canonical_encode(value), canonical_encode(cid)
+    assert encoded.count(as_id) == 1
+    return encoded.replace(as_id, canonical_encode(bytes(cid)))
+
+
+def test_raw_bytes_in_an_id_field_do_not_decode():
+    from lakat.identity import ContributionProof
+
+    parent, root, evidence = content_id(b"p"), content_id(b"r"), content_id(b"e")
+    submit = Submit(parent, "m", root, SubmitTrace(), LogicalTimestamp(1))
+    proof = ContributionProof(b"pk", content_id(b"b"), "content", evidence, b"sig")
+    for value, cid, field in ((submit, parent, "Submit.parent"),
+                              (proof, evidence, "ContributionProof.evidence")):
+        assert canonical_decode(canonical_encode(value)) == value
+        with pytest.raises(CodecError, match=f"{field} must hold ContentId"):
+            canonical_decode(_id_written_as_bytes(value, cid))
+    # an optional id field takes None or an id, never bytes
+    merge = SubmitTrace(belt_tip=parent)
+    with pytest.raises(CodecError, match="SubmitTrace.belt_tip must hold ContentId"):
+        canonical_decode(_id_written_as_bytes(merge, parent))
+
+
+def test_an_id_in_a_bytes_field_does_not_decode():
+    from lakat.branch import Veto
+
+    key = content_id(b"k")
+    veto = Veto(content_id(b"s"), bytes(key), 5, b"sig")
+    bad = canonical_encode(veto).replace(canonical_encode(bytes(key)), canonical_encode(key))
+    with pytest.raises(CodecError, match="Veto.contributor must hold bytes"):
         canonical_decode(bad)

@@ -20,7 +20,6 @@ def create_on(world, peer_name, config=None, creator=None, message=None):
     branch = create_genesis_branch(
         peer.state, config or twig_config(), identity, world.now(), message=message
     )
-    peer.tracked.add(branch.branch_id)
     world.flush_gossip(peer_name)
     return branch
 
