@@ -130,10 +130,10 @@ class PullRequestTrace:
 @dataclass(frozen=True)
 class SubmitTrace:
     pull_requests: tuple = ()
-    reviews_trace: tuple = ()  # ids of commitment / review-item records
+    reviews_trace: tuple[ContentId, ...] = ()  # ids of commitment / review-item records
     merged_branch: ContentId | None = None
     belt_tip: ContentId | None = None
-    new_buckets: tuple = ()
+    new_buckets: tuple[ContentId, ...] = ()
 
     def __post_init__(self):
         for name in ("pull_requests", "reviews_trace", "new_buckets"):
@@ -453,21 +453,40 @@ def included_submits(store: Store, head: ContentId) -> dict[ContentId, Submit]:
     return cached
 
 
-def closure(store: Store, heads: list[ContentId]) -> dict[ContentId, Submit]:
-    """Inclusion closure of several heads, in walk order: each parent chain
-    in full, then the belt tips it passed, latest found first."""
-    included: dict[ContentId, Submit] = {}
+def _walk_closure(store: Store, heads: list[ContentId], included: dict):
+    """The inclusion-closure walk: each parent chain in full, then the belt
+    tips it passed, latest found first.  Records each submit it reaches in
+    `included` (id -> submit) and yields its id; a caller that stops early
+    leaves the rest unwalked."""
     frontier = list(reversed(heads))
     while frontier:
         cursor = frontier.pop()
         while cursor != NULL_ID and cursor not in included:
             submit = get_submit(store, cursor)
             included[cursor] = submit
+            yield cursor
             tip = submit.submit_trace.belt_tip
             if tip is not None:
                 frontier.append(tip)
             cursor = submit.parent
+
+
+def closure(store: Store, heads: list[ContentId]) -> dict[ContentId, Submit]:
+    """Inclusion closure of several heads, in walk order."""
+    included: dict[ContentId, Submit] = {}
+    for _ in _walk_closure(store, heads, included):
+        pass
     return included
+
+
+def in_closure(store: Store, head: ContentId, target: ContentId) -> bool:
+    """Whether target is in the inclusion closure of head.  Answered from the
+    memo when the closure is held; otherwise the walk stops at target, which
+    usually sits near the head, and nothing is memoised."""
+    held = store.closure_cache.get(head)
+    if held is not None:
+        return target in held
+    return target in _walk_closure(store, [head], {})
 
 
 def conflict_records(
@@ -483,13 +502,13 @@ def conflict_records(
     for cid, submit in included.items():
         if submit.parent != NULL_ID and submit.parent in included:
             children.setdefault(submit.parent, []).append(cid)
-    belt_closure: dict[ContentId, set[ContentId]] = {}
+    belt_closure: dict[ContentId, dict] = {}
 
-    def own_belt(merge_cid: ContentId) -> set[ContentId]:
+    def own_belt(merge_cid: ContentId) -> dict:
         closure = belt_closure.get(merge_cid)
         if closure is None:
             tip = included[merge_cid].submit_trace.belt_tip
-            closure = set(included_submits(store, tip)) if tip is not None else set()
+            closure = included_submits(store, tip) if tip is not None else {}
             belt_closure[merge_cid] = closure
         return closure
 
@@ -616,59 +635,89 @@ class BranchVerdict:
         return [code for code, _ in self.failures]
 
 
-def verify_branch(branch: Branch, store: Store) -> BranchVerdict:
-    """Integrity check: id recomputation, acyclic history, monotone ticks,
-    context membership of every submit, and the conflict policy."""
-    verdict = BranchVerdict()
-    recomputed = compute_branch_id(branch.parent_branch, branch.timestamp, branch.initial_head)
-    if recomputed != branch.branch_id:
-        verdict.fail("branch-id-mismatch", branch.branch_id.hex)
-    cursor = branch.stable_head
-    history_pairs = []
-    seen = set()
-    while cursor != NULL_ID:
-        if cursor in seen:
-            verdict.fail("history-integrity", "cycle in submit chain")
+class Verifier:
+    """Checks branches against one store, each submit once, as fsck checks
+    each object once.  It remembers the submits whose chain down to the
+    singularity passed every per-submit check (id, type, tick order, context
+    membership), and its walk stops at the first of them.  Records are
+    immutable and a store only grows, so a pass stays a pass; a failure is
+    never remembered.  The remembered part holds no failure, so the verdict
+    is the one a walk of the whole chain gives."""
+
+    def __init__(self, store: Store):
+        self.store = store
+        self.verified: set[ContentId] = set()
+
+    def verify(self, branch: Branch) -> BranchVerdict:
+        """Integrity check: id recomputation, acyclic history, monotone ticks,
+        context membership of every submit, and the conflict policy."""
+        verdict = BranchVerdict()
+        recomputed = compute_branch_id(branch.parent_branch, branch.timestamp, branch.initial_head)
+        if recomputed != branch.branch_id:
+            verdict.fail("branch-id-mismatch", branch.branch_id.hex)
+        held = len(verdict.failures)
+        walked = self._check_chain(branch.stable_head, verdict)
+        if walked is None:
             return verdict
-        seen.add(cursor)
-        try:
-            raw = store.get(cursor)
-        except MissingRecord:
-            verdict.fail("history-integrity", f"dangling submit {cursor.hex}")
-            return verdict
-        if content_id(raw) != cursor:
-            verdict.fail("submit-id-mismatch", cursor.hex)
-        submit = store.get_object(cursor)
-        if not isinstance(submit, Submit):
-            verdict.fail("history-integrity", f"{cursor.hex} is not a submit")
-            return verdict
-        history_pairs.append((cursor, submit))
-        cursor = submit.parent
-    history = [submit for _, submit in history_pairs]
-    for child, parent in zip(history, history[1:]):
-        if child.timestamp.tick < parent.timestamp.tick:
-            verdict.fail("timestamp-regression", submit_id(child).hex)
-    for submit in history:
-        new_ids = set(submit.submit_trace.new_buckets)
-        if not new_ids:
-            continue
-        submit_buckets = {}
-        for cid in new_ids:
-            try:
-                obj = store.get_object(cid)
-            except MissingRecord:
-                verdict.fail("missing-bucket", cid.hex)
-                continue
-            if isinstance(obj, Bucket):
-                submit_buckets[cid] = obj
-        if set(submit_buckets) != new_ids:
-            continue
-        try:
-            if not check_context_membership(new_ids, submit_buckets, store):
-                verdict.fail("context-membership", submit_id(submit).hex)
-        except MissingRecord as exc:  # an arrangement record of a molecular bucket
-            verdict.fail("missing-record", str(exc))
-    if not branch.config.accept_conflicts:
-        if detect_conflicts(branch, store):
+        if len(verdict.failures) == held:
+            self.verified.update(walked)
+        if not branch.config.accept_conflicts and detect_conflicts(branch, self.store):
             verdict.fail("conflict-policy", "conflicts present but not accepted")
-    return verdict
+        return verdict
+
+    def _check_chain(self, head: ContentId, verdict: BranchVerdict) -> dict[ContentId, Submit] | None:
+        """Check the submits from head down to the first verified one, and
+        return them, or None when the chain is broken (cycle, dangling
+        submit, or a record that is not a submit)."""
+        store, verified = self.store, self.verified
+        walked: dict[ContentId, Submit] = {}
+        cursor = head
+        while cursor != NULL_ID and cursor not in verified:
+            if cursor in walked:
+                verdict.fail("history-integrity", "cycle in submit chain")
+                return None
+            try:
+                raw = store.get(cursor)
+            except MissingRecord:
+                verdict.fail("history-integrity", f"dangling submit {cursor.hex}")
+                return None
+            if content_id(raw) != cursor:
+                verdict.fail("submit-id-mismatch", cursor.hex)
+            submit = store.get_object(cursor)
+            if not isinstance(submit, Submit):
+                verdict.fail("history-integrity", f"{cursor.hex} is not a submit")
+                return None
+            walked[cursor] = submit
+            cursor = submit.parent
+        submits = list(walked.values())
+        if submits and cursor != NULL_ID:
+            submits.append(get_submit(store, cursor))  # verified: only its tick is read
+        for child, parent in zip(submits, submits[1:]):
+            if child.timestamp.tick < parent.timestamp.tick:
+                verdict.fail("timestamp-regression", submit_id(child).hex)
+        for submit in walked.values():
+            new_ids = set(submit.submit_trace.new_buckets)
+            if not new_ids:
+                continue
+            submit_buckets = {}
+            for cid in new_ids:
+                try:
+                    obj = store.get_object(cid)
+                except MissingRecord:
+                    verdict.fail("missing-bucket", cid.hex)
+                    continue
+                if isinstance(obj, Bucket):
+                    submit_buckets[cid] = obj
+            if set(submit_buckets) != new_ids:
+                continue
+            try:
+                if not check_context_membership(new_ids, submit_buckets, store):
+                    verdict.fail("context-membership", submit_id(submit).hex)
+            except MissingRecord as exc:  # an arrangement record of a molecular bucket
+                verdict.fail("missing-record", str(exc))
+        return walked
+
+
+def verify_branch(branch: Branch, store: Store) -> BranchVerdict:
+    """One-off integrity check of a branch (see Verifier)."""
+    return Verifier(store).verify(branch)

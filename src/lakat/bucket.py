@@ -109,10 +109,10 @@ class BucketInfo:
     """
 
     social_refs: tuple = ()
-    reviews: tuple = ()
+    reviews: tuple[ContentId, ...] = ()
     tokens: tuple = ()
-    bucket_refs_out: tuple | None = None
-    bucket_refs_in: tuple = ()
+    bucket_refs_out: tuple[ContentId, ...] | None = None
+    bucket_refs_in: tuple[ContentId, ...] = ()
     storage_proofs: tuple = ()
 
     def __post_init__(self):

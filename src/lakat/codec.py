@@ -103,7 +103,12 @@ _FIELDS_BY_CLASS: dict[type, tuple] = {}
 # (index, name, type, None allowed) of each field annotated `ContentId` or
 # `bytes`, optionally `| None`; the decoder holds such fields to that type
 _TYPED_FIELDS_BY_CLASS: dict[type, tuple] = {}
+# (index, name, None allowed, element types allowed) of each field
+# annotated `tuple[ContentId, ...]`, optionally with `| None` on the element
+# or on the field; the decoder holds every element to those types
+_ID_TUPLE_FIELDS_BY_CLASS: dict[type, tuple] = {}
 _EXACT_TYPES = {"ContentId": ContentId, "bytes": bytes}
+_NONE_SUFFIX = " | None"
 
 
 def protocol_struct(code: int):
@@ -115,12 +120,18 @@ def protocol_struct(code: int):
         _STRUCT_BY_CODE[code] = cls
         _CODE_BY_CLASS[cls] = code
         _FIELDS_BY_CLASS[cls] = tuple(field.name for field in dc_fields(cls))
-        _TYPED_FIELDS_BY_CLASS[cls] = tuple(
-            (index, field.name, _EXACT_TYPES[kind], bool(or_none))
-            for index, field in enumerate(dc_fields(cls))
-            for kind, or_none, _ in (str(field.type).partition(" | None"),)
-            if kind in _EXACT_TYPES
-        )
+        typed, id_tuples = [], []
+        for index, field in enumerate(dc_fields(cls)):
+            kind = str(field.type)
+            nullable = kind.endswith(_NONE_SUFFIX)
+            kind = kind.removesuffix(_NONE_SUFFIX)
+            if kind in _EXACT_TYPES:
+                typed.append((index, field.name, _EXACT_TYPES[kind], nullable))
+            elif kind in ("tuple[ContentId, ...]", "tuple[ContentId | None, ...]"):
+                allowed = {ContentId, type(None)} if _NONE_SUFFIX in kind else {ContentId}
+                id_tuples.append((index, field.name, nullable, frozenset(allowed)))
+        _TYPED_FIELDS_BY_CLASS[cls] = tuple(typed)
+        _ID_TUPLE_FIELDS_BY_CLASS[cls] = tuple(id_tuples)
         return cls
 
     return register
@@ -263,6 +274,11 @@ def _decode_value(data: bytes, pos: int):
         for index, name, exact, nullable in _TYPED_FIELDS_BY_CLASS[cls]:
             if type(values[index]) is not exact and not (nullable and values[index] is None):
                 raise CodecError(f"{cls.__name__}.{name} must hold {exact.__name__}")
+        for index, name, nullable, allowed in _ID_TUPLE_FIELDS_BY_CLASS[cls]:
+            items = values[index]
+            if not (allowed.issuperset(map(type, items)) if type(items) is list
+                    else nullable and items is None):
+                raise CodecError(f"{cls.__name__}.{name} must hold a list of ContentId")
         try:
             return cls(*values), pos
         except _field_check_errors() as exc:

@@ -136,7 +136,14 @@ class ContributionProof:
     signature: bytes
 
     def message(self) -> bytes:
-        return proof_message(self.contributor, self.branch_id, self.kind, self.evidence)
+        """The signed bytes, encoded on first use and kept on the proof:
+        contributor sets verify the same proofs again and again."""
+        message = self.__dict__.get("_message")
+        if message is None:
+            message = self.__dict__["_message"] = proof_message(
+                self.contributor, self.branch_id, self.kind, self.evidence
+            )
+        return message
 
     def verify(self) -> bool:
         return self.kind in CONTRIBUTION_KINDS and verify_signature(

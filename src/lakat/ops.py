@@ -8,7 +8,8 @@ trace keeps the belt's submits reachable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .codec import ContentId, LogicalTimestamp, NULL_ID
 from .identity import KeyIdentity, make_contribution_proof
@@ -21,15 +22,16 @@ from .branch import (
     TWIG,
     Submit,
     SubmitTrace,
+    closure,
     compute_branch_id,
     conflict_records,
     get_submit,
-    included_submits,
+    in_closure,
     submit_id,
-    verify_branch,
 )
 from .review import PullRequest, check_maturity, merge_ready
 from .state import ProtocolState
+from .store import Store
 from . import trie as trie_mod
 
 
@@ -107,8 +109,7 @@ def create_rooted_branch(
         raise InvalidRoot(f"unknown parent branch {parent_branch.hex}")
     if message is None:
         message = f"rooted:{creator.public_key.hex()[:16]}"
-    ancestry = set(included_submits(state.store, parent.stable_head))
-    if root_submit not in ancestry:
+    if not in_closure(state.store, parent.stable_head, root_submit):
         raise InvalidRoot("root submit is not in the parent branch history")
     branch_config = config if config is not None else parent.config
     if branch_config.branch_type == SPROUT:
@@ -139,8 +140,16 @@ class MergePlan:
     pr: PullRequest | None
     bucket_delta: set
     belt_tip: ContentId
-    conflicts: set
     root_at: ContentId
+    base_head: ContentId  # head of root_at when planned
+    store: Store = field(repr=False, compare=False)
+
+    @cached_property
+    def conflicts(self) -> set:
+        """Conflicts the merged state would hold, derived on first read: only
+        a core that refuses conflicts needs them."""
+        merged_view = closure(self.store, [self.base_head, self.belt_tip])
+        return conflict_records(self.store, merged_view, self.core)
 
 
 def plan_merge(
@@ -150,7 +159,9 @@ def plan_merge(
     pr: PullRequest | None = None,
     root_at: ContentId | None = None,
 ) -> MergePlan:
-    """Compute the bucket delta and the conflicts the merged state would hold.
+    """Compute the bucket delta: the belt's buckets the core lacks, found by
+    a structural diff of the two tries.  The plan's conflicts are derived
+    only when read.
 
     root_at names the branch whose head the merge submit will extend: the
     core itself, or one of its live sprouts when the core advances through
@@ -159,15 +170,11 @@ def plan_merge(
     core = state.branches[core_id]
     belt = state.branches[belt_id]
     root_id = root_at if root_at is not None else core_id
-    rooting = state.branches[root_id]
     store = state.store
-    core_buckets = trie_mod.bucket_ids(trie_mod.Trie(get_submit(store, core.stable_head).trie_root, store))
-    belt_buckets = trie_mod.bucket_ids(trie_mod.Trie(get_submit(store, belt.stable_head).trie_root, store))
-    delta = belt_buckets - core_buckets
-    merged_view = dict(included_submits(store, rooting.stable_head))
-    merged_view.update(included_submits(store, belt.stable_head))
-    conflicts = conflict_records(store, merged_view, core_id)
-    return MergePlan(core_id, belt_id, pr, delta, belt.stable_head, conflicts, root_id)
+    delta = trie_mod.added_ids(store, get_submit(store, core.stable_head).trie_root,
+                               get_submit(store, belt.stable_head).trie_root)
+    return MergePlan(core_id, belt_id, pr, delta, belt.stable_head, root_id,
+                     state.branches[root_id].stable_head, store)
 
 
 def execute_merge(
@@ -192,7 +199,7 @@ def execute_merge(
         raise StaleBranch("core is stale")
     if belt.stale:
         raise StaleBranch("belt is stale")
-    belt_verdict = verify_branch(belt, store)
+    belt_verdict = state.verifier.verify(belt)
     if not belt_verdict.ok:
         raise InvalidMerge(f"belt failed validation: {belt_verdict.codes()}")
     if not core.config.accept_conflicts and plan.conflicts:
@@ -210,11 +217,9 @@ def execute_merge(
             raise InvalidMerge("review requirements not met")
 
     base_head = rooting.stable_head
-    base_submit = get_submit(store, base_head)
-    new_trie = trie_mod.Trie(base_submit.trie_root, store)
+    new_trie = trie_mod.Trie(get_submit(store, base_head).trie_root, store)
     belt_trie = trie_mod.Trie(get_submit(store, belt.stable_head).trie_root, store)
-    base_buckets = trie_mod.bucket_ids(new_trie)
-    incoming = sorted(cid for cid in trie_mod.bucket_ids(belt_trie) if cid not in base_buckets)
+    incoming = sorted(trie_mod.added_ids(store, new_trie.root, belt_trie.root))
     for cid in incoming:
         info = trie_mod.get(belt_trie, cid)
         new_trie = trie_mod.insert(new_trie, cid, info)
@@ -270,8 +275,7 @@ def apply_config_change(
     branch = state.branches[branch_id]
     if via_merge is None:
         raise BranchOpError("config changes require a merge rather than a plain commit")
-    merge_cid = submit_id(via_merge)
-    if not via_merge.is_merge() or merge_cid not in included_submits(state.store, branch.stable_head):
+    if not via_merge.is_merge() or not in_closure(state.store, branch.stable_head, submit_id(via_merge)):
         raise BranchOpError("carrying merge has not been accepted by the branch")
     if branch.config.branch_type == PROPER and new_config.branch_type != PROPER:
         raise BranchOpError("proper branches cannot change their branch type")

@@ -22,7 +22,7 @@ from .branch import (
     SubmitTrace,
     TWIG,
     get_submit,
-    included_submits,
+    in_closure,
 )
 from .state import OK, ProtocolState, Verdict
 from .store import MissingRecord
@@ -45,7 +45,7 @@ class ReviewItem:
     """One review: the review-text bucket, what it reviewed, and a verdict."""
 
     bucket: ContentId
-    reviewed_buckets: tuple
+    reviewed_buckets: tuple[ContentId, ...]
     verdict: str  # "accept" | "reject" | "comment"
     round: int
 
@@ -164,7 +164,7 @@ def check_maturity(state: ProtocolState, pr: PullRequest) -> bool:
     requesting = state.branches.get(pr.requesting_branch)
     if requesting is None:
         return False
-    return pr.carrier_submit in included_submits(state.store, requesting.stable_head)
+    return in_closure(state.store, requesting.stable_head, pr.carrier_submit)
 
 
 def own_submits(state: ProtocolState, branch: Branch) -> list[Submit]:

@@ -27,6 +27,7 @@ from .branch import (
     ContributorSet,
     Submit,
     SubmitTrace,
+    Verifier,
     collect_evidence,
     derive_contributors,
     get_submit,
@@ -56,6 +57,7 @@ class ProtocolState:
 
     def __init__(self, store: Store | None = None, channel_capacity: int = 64):
         self.store: Store = store if store is not None else MemoryStore()
+        self.verifier = Verifier(self.store)  # remembers the submits it checked
         self.branches: dict[ContentId, Branch] = {}
         self.proofs: dict[ContentId, list[ContributionProof]] = {}
         self.wraps: dict[ContentId, "object"] = {}  # sprout id -> SproutWrap

@@ -45,7 +45,7 @@ class TrieExtension:
 @protocol_struct(14)
 @dataclass(frozen=True)
 class TrieBranch:
-    children: tuple  # 16 entries of ContentId | None
+    children: tuple[ContentId | None, ...]  # 16 entries
     value: ContentId | None = None
 
     def __post_init__(self):
@@ -93,13 +93,9 @@ def decode_node(data: bytes):
 
 
 def load_node(store: Store, cid: ContentId):
-    cache = getattr(store, "_node_cache", None)
-    if cache is None:
-        cache = store._node_cache = {}
-    node = cache.get(cid)
+    node = store.node_cache.get(cid)
     if node is None:
-        node = decode_node(store.get(cid))
-        cache[cid] = node
+        node = store.node_cache[cid] = decode_node(store.get(cid))
     return node
 
 
@@ -300,16 +296,67 @@ def items(trie: Trie) -> list[tuple[ContentId, ContentId]]:
 
 def bucket_ids(trie: Trie) -> set[ContentId]:
     """Every bucket id in the trie (the leaf salts), unordered."""
+    store, cache = trie.store, trie.store.node_cache
     found = set()
-    store = trie.store
+    add = found.add
     stack = [] if trie.root == NULL_ID else [trie.root]
+    pop, push, extend = stack.pop, stack.append, stack.extend
     while stack:
-        node = load_node(store, stack.pop())
+        cid = pop()
+        node = cache.get(cid) or load_node(store, cid)
         kind = type(node)
         if kind is TrieLeaf:
-            found.add(node.salt)
+            add(node.salt)
         elif kind is TrieExtension:
-            stack.append(node.child)
+            push(node.child)
         else:
-            stack.extend(child for child in node.children if child is not None)
+            extend(filter(None, node.children))
+    return found
+
+
+def _fanout(node) -> tuple:
+    """A node seen as a 16-way branch: an extension or leaf becomes one child
+    under its first nibble, the rest of it kept as an unstored node."""
+    if type(node) is TrieBranch:
+        return node.children
+    children = [None] * 16
+    if type(node) is TrieExtension:
+        rest = node.shared[1:]
+        children[node.shared[0]] = TrieExtension(rest, node.child) if rest else node.child
+    else:
+        children[node.key_suffix[0]] = TrieLeaf(node.key_suffix[1:], node.value_hash, node.salt)
+    return children
+
+
+def added_ids(store: Store, old_root: ContentId, new_root: ContentId) -> set[ContentId]:
+    """Bucket ids under new_root that old_root lacks: exactly
+    bucket_ids(new) - bucket_ids(old), but the walk descends both tries in
+    step and enters only the subtrees whose ids differ, so its cost follows
+    the difference rather than the trie size.  A leaf met on the new side is
+    looked up on the old side, so a bucket whose info changed is not new."""
+    cache = store.node_cache
+
+    def node_of(ref):  # a stored node id, None, or an unstored node from _fanout
+        if type(ref) is not ContentId:
+            return ref
+        return cache.get(ref) or load_node(store, ref)
+
+    found = set()
+    stack = [(None if old_root == NULL_ID else old_root, new_root)]
+    while stack:
+        old, new = stack.pop()
+        if new is None or new == NULL_ID or old == new:
+            continue
+        node = node_of(new)
+        if type(node) is TrieLeaf:  # look its salt up on the old side
+            held = node_of(old)
+            for nibble in node.key_suffix:
+                if held is None or type(held) is TrieLeaf:
+                    break
+                held = node_of(_fanout(held)[nibble])
+            if type(held) is not TrieLeaf or held.salt != node.salt:
+                found.add(node.salt)
+            continue
+        old_children = (None,) * 16 if old is None else _fanout(node_of(old))
+        stack.extend(pair for pair in zip(old_children, _fanout(node)) if pair[0] != pair[1])
     return found

@@ -17,7 +17,9 @@ from lakat.branch import (
     conflict_records,
     derive_contributors,
     detect_conflicts,
+    Verifier,
     get_submit,
+    in_closure,
     included_submits,
     submit_history,
     submit_id,
@@ -351,6 +353,122 @@ def test_conflict_policy_verdict(store, alice):
     relaxed = replace(config, accept_conflicts=True)
     branch.config = relaxed
     assert verify_branch(branch, store).ok
+
+
+# -- one verifier per store ---------------------------------------------------------
+
+
+def _shared_history(state, alice, bob):
+    """A core and two branches rooted at its head: (core, left, right, the
+    core submit all three hold)."""
+    core = create_genesis_branch(state, twig_config(), alice, tick(0))
+    shared = _push_payload(state, core, alice, b"shared", 1)
+    _push_payload(state, core, alice, b"core tip", 2)
+    left = create_rooted_branch(state, state.branches[core.branch_id].stable_head, core.branch_id, bob, tick(3))
+    right = create_rooted_branch(state, state.branches[core.branch_id].stable_head, core.branch_id, alice, tick(3))
+    _push_payload(state, left, bob, b"left", 4)
+    _push_payload(state, right, alice, b"right", 4)
+    return core, left, right, shared
+
+
+def test_bad_shared_submit_is_reported_for_every_branch(state, alice, bob):
+    core, left, right, shared = _shared_history(state, alice, bob)
+    tampered = replace(get_submit(state.store, shared), submit_message="evil")
+    state.store._records[shared] = canonical_encode(tampered)
+    verifier = Verifier(state.store)
+    for branch in (core, left, right):
+        verdict = verifier.verify(branch)
+        assert ("submit-id-mismatch", shared.hex) in verdict.failures
+        assert verdict.failures == verify_branch(branch, state.store).failures
+    assert shared not in verifier.verified  # failures are never remembered
+
+
+def test_missing_shared_record_is_reported_for_every_branch(state, alice, bob):
+    core, left, right, shared = _shared_history(state, alice, bob)
+    buckets = [state.store.get_object(cid) for cid in get_submit(state.store, shared).submit_trace.new_buckets]
+    arrangement = next(b.data_root for b in buckets if is_molecular(b))
+    copy = MemoryStore()
+    for cid in state.store.ids():
+        if cid != arrangement:
+            copy.put(state.store.get(cid))
+    verifier = Verifier(copy)
+    for branch in (left, core, right):
+        verdict = verifier.verify(branch)
+        assert verdict.failures == [("missing-record", arrangement.hex)]
+    # once the record arrives the same verifier passes the branches
+    copy.put(state.store.get(arrangement))
+    assert all(verifier.verify(branch).ok for branch in (core, left, right))
+
+
+def test_verifier_walks_only_what_it_has_not_passed(state, alice, bob):
+    core, left, right, shared = _shared_history(state, alice, bob)
+    verifier = Verifier(state.store)
+    assert verifier.verify(core).ok
+    passed = set(verifier.verified)
+    assert shared in passed and len(passed) == 3  # the singularity and the two pushes
+    assert verifier.verify(left).ok
+    assert verifier.verified - passed == {left.initial_head, left.stable_head}
+
+
+def test_timestamp_regression_at_the_verified_boundary(state, alice):
+    branch = create_genesis_branch(state, twig_config(), alice, tick(5))
+    verifier = Verifier(state.store)
+    assert verifier.verify(branch).ok
+    head = get_submit(state.store, branch.stable_head)
+    bad = Submit(branch.stable_head, "back in time", head.trie_root, SubmitTrace(), tick(1))
+    state.store.put_object(bad)
+    branch.stable_head = submit_id(bad)
+    verdict = verifier.verify(branch)
+    assert verdict.failures == [("timestamp-regression", submit_id(bad).hex)]
+    assert verdict.failures == verify_branch(branch, state.store).failures
+
+
+def test_verifying_twice_gives_identical_verdicts_and_sprouts_still_mismatch():
+    """fig5a converts a sprout, whose id was hashed with the null parent, so
+    it fails with branch-id-mismatch; a second pass of the same verifiers, and
+    a fresh verifier per branch, give the same verdicts for every branch."""
+    import os
+
+    from lakat.scenario import Runner, parse_scenario
+
+    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "fig5a.json")
+    with open(path) as fh:
+        runner = Runner(parse_scenario(fh.read()))
+    runner.run()
+    mismatched = 0
+    for peer in runner.world.peers.values():
+        state = peer.state
+        verifier = Verifier(state.store)
+        first = {bid: verifier.verify(branch).failures for bid, branch in state.branches.items()}
+        second = {bid: verifier.verify(branch).failures for bid, branch in state.branches.items()}
+        fresh = {bid: verify_branch(branch, state.store).failures for bid, branch in state.branches.items()}
+        assert first == second == fresh
+        for bid, failures in first.items():
+            assert failures in ([], [("branch-id-mismatch", bid.hex)])
+            mismatched += bool(failures)
+    assert mismatched == 3  # the converted sprout, on each of the three peers
+
+
+def test_early_exit_membership_agrees_with_closure_through_fuzz_run():
+    from fuzz_driver import FuzzRun
+
+    run = FuzzRun(11).run(800)
+    checked = 0
+    for peer in run.world.peers.values():
+        store = peer.state.store
+        fresh = MemoryStore()  # no memoised closures: every answer is a walk
+        for cid in store.ids():
+            fresh.put(store.get(cid))
+        heads = {branch.stable_head for branch in peer.state.branches.values()}
+        submits = set().union(*(included_submits(store, head) for head in heads))
+        for head in heads:
+            closure = included_submits(store, head)
+            for target in submits:
+                assert in_closure(fresh, head, target) == (target in closure)
+                assert in_closure(store, head, target) == (target in closure)
+                checked += 1
+        assert not fresh.closure_cache
+    assert checked > 1000
 
 
 # -- header export ----------------------------------------------------------------

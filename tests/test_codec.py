@@ -332,3 +332,39 @@ def test_an_id_in_a_bytes_field_does_not_decode():
     bad = canonical_encode(veto).replace(canonical_encode(bytes(key)), canonical_encode(key))
     with pytest.raises(CodecError, match="Veto.contributor must hold bytes"):
         canonical_decode(bad)
+
+
+def _id_tuple_probes():
+    """(value holding one id in an id-tuple field, that id, field name)."""
+    from lakat.review import ReviewItem
+    from lakat.trie import TrieBranch
+
+    cid, bucket = content_id(b"element"), content_id(b"bucket")
+    children = [None] * 16
+    children[5] = cid
+    return [
+        (TrieBranch(tuple(children)), cid, "TrieBranch.children"),
+        (SubmitTrace(new_buckets=(cid,)), cid, "SubmitTrace.new_buckets"),
+        (SubmitTrace(reviews_trace=(cid,)), cid, "SubmitTrace.reviews_trace"),
+        (ReviewItem(bucket, (cid,), "accept", 1), cid, "ReviewItem.reviewed_buckets"),
+        (BucketInfo(reviews=(cid,)), cid, "BucketInfo.reviews"),
+        (BucketInfo(bucket_refs_out=(cid,)), cid, "BucketInfo.bucket_refs_out"),
+        (BucketInfo(bucket_refs_in=(cid,)), cid, "BucketInfo.bucket_refs_in"),
+    ]
+
+
+@pytest.mark.parametrize("value,cid,field", _id_tuple_probes(),
+                         ids=[probe[2] for probe in _id_tuple_probes()])
+def test_raw_bytes_in_an_id_tuple_do_not_decode(value, cid, field):
+    """A raw 33-byte element equals its id, so it would decode to an object
+    equal to the honest one under another content id; it must not decode."""
+    assert canonical_decode(canonical_encode(value)) == value
+    with pytest.raises(CodecError, match=f"{field} must hold a list of ContentId"):
+        canonical_decode(_id_written_as_bytes(value, cid))
+
+
+def test_id_tuple_fields_keep_their_empty_and_absent_forms():
+    from lakat.trie import TrieBranch
+
+    for value in (TrieBranch(tuple([None] * 16)), SubmitTrace(), BucketInfo()):
+        assert canonical_decode(canonical_encode(value)) == value

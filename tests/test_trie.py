@@ -2,11 +2,13 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lakat.codec import ContentId, NULL_ID, canonical_encode, content_id
 from lakat.bucket import BucketInfo, InfoDelta, attach_info, fresh_info
 from lakat.trie import (
     Trie,
+    added_ids,
     TrieKeyCollision,
     TrieLeaf,
     bucket_ids,
@@ -220,3 +222,70 @@ def test_items_enumerates_bucket_ids(store, rng):
     assert bucket_ids(trie) == set(ids)
     listed = items(trie)
     assert [pair[0] for pair in listed] == sorted(ids, key=lambda c: c.hex)
+
+
+# -- added_ids: the structural merge delta ------------------------------------
+
+# Key bytes from a three-letter alphabet and a distinct last key byte: ids
+# share long prefixes, so tries grow extensions that later inserts split.
+_PREFIX_BYTES = st.sampled_from([0x00, 0x0F, 0xF0])
+
+
+@st.composite
+def _shared_prefix_ids(draw, max_size=24):
+    prefixes = draw(st.lists(st.lists(_PREFIX_BYTES, min_size=15, max_size=15),
+                             min_size=0, max_size=max_size))
+    return [ContentId(0x01, bytes(prefix) + bytes([index]) + bytes(16))
+            for index, prefix in enumerate(prefixes)]
+
+
+def _build(trie, ids, version):
+    for cid in ids:
+        trie = insert(trie, cid, _info(version + cid[16]))
+    return trie
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids=_shared_prefix_ids(), data=st.data())
+def test_added_ids_equals_set_difference(ids, data):
+    store = MemoryStore()
+    old_ids = data.draw(st.lists(st.sampled_from(ids), unique=True) if ids else st.just([]))
+    grown_ids = data.draw(st.lists(st.sampled_from(ids), unique=True) if ids else st.just([]))
+    other_ids = data.draw(st.lists(st.sampled_from(ids), unique=True) if ids else st.just([]))
+    old = _build(empty_trie(store), old_ids, 0)
+    # new buckets plus value-only updates of held ones (same key, new info)
+    grown = _build(old, grown_ids, 1)
+    other = _build(empty_trie(store), other_ids, 2)  # no shared history
+    empty = empty_trie(store)
+    for a in (old, grown, other, empty):
+        for b in (old, grown, other, empty):
+            assert added_ids(store, a.root, b.root) == bucket_ids(b) - bucket_ids(a)
+
+
+def test_added_ids_skips_info_updates_and_finds_split_extensions(store):
+    first = ContentId(0x01, bytes(15) + b"\x01" + bytes(16))
+    second = ContentId(0x01, bytes(15) + b"\x02" + bytes(16))  # shares 30 nibbles with first
+    third = ContentId(0x01, bytes(7) + b"\x10" + bytes(24))  # splits the extension above them
+    old = _build(empty_trie(store), [first, second], 0)
+    updated = insert(old, first, _info(99))
+    assert updated.root != old.root
+    assert added_ids(store, old.root, updated.root) == set()
+    split = insert(updated, third, _info(5))
+    assert added_ids(store, old.root, split.root) == {third}
+    assert added_ids(store, split.root, old.root) == set()
+    assert added_ids(store, NULL_ID, split.root) == {first, second, third}
+    assert added_ids(store, split.root, split.root) == set()
+
+
+def test_added_ids_reads_only_the_changed_paths(store, rng):
+    ids = _random_ids(rng, 500)
+    old = _build(empty_trie(store), ids, 0)
+    fresh = content_id(b"one more bucket")
+    new = insert(insert(old, fresh, _info(1)), ids[0], _info(2))
+    store.node_cache.clear()
+    assert added_ids(store, old.root, new.root) == {fresh}
+    # two root-to-leaf paths on each side, out of some 600 nodes per trie
+    assert len(store.node_cache) <= 4 * 4
+    store.node_cache.clear()
+    bucket_ids(new)
+    assert len(store.node_cache) > 500
