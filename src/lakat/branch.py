@@ -392,65 +392,47 @@ def get_submit(store: Store, cid: ContentId) -> Submit:
     return obj
 
 
-def _history(branch: Branch, store: Store, follow_parent: bool = False) -> list[tuple[ContentId, Submit]]:
-    result = []
-    seen = set()
-    cursor = branch.stable_head
-    passed_initial = False
-    while cursor != NULL_ID:
-        if cursor in seen:
-            raise IntegrityError("cycle in submit chain")
-        seen.add(cursor)
-        try:
-            submit = get_submit(store, cursor)
-        except MissingRecord:
-            raise IntegrityError(f"dangling submit {cursor.hex}")
-        result.append((cursor, submit))
-        if not follow_parent and passed_initial:
-            break
-        if cursor == branch.initial_head:
-            passed_initial = True
-            if not follow_parent and submit.parent == NULL_ID:
-                break
-        cursor = submit.parent
-    return result
-
-
-def submit_history(branch: Branch, store: Store, follow_parent: bool = False) -> list[Submit]:
-    """Submits from the stable head back toward the root, child first.
-
-    Without follow_parent the walk stops at the branch's root submit (the
-    initial submit's parent for derived branches, the singularity otherwise);
-    with it the walk continues through ancestor branches to the singularity.
-    """
-    return [submit for _, submit in _history(branch, store, follow_parent)]
-
-
-def ancestry_ids(store: Store, head: ContentId) -> list[ContentId]:
-    """Parent-chain submit ids from head to the singularity."""
-    out = []
+def ancestry(store: Store, head: ContentId, stop=()):
+    """Yield (id, submit) along the parent chain from head down to the
+    singularity, or down to the first id in stop, which is not yielded.
+    Raises MissingRecord for a missing record and IntegrityError for a cycle
+    or a record that is not a submit."""
     seen = set()
     cursor = head
-    while cursor != NULL_ID:
+    while cursor != NULL_ID and cursor not in stop:
         if cursor in seen:
             raise IntegrityError("cycle in submit chain")
         seen.add(cursor)
-        out.append(cursor)
-        cursor = get_submit(store, cursor).parent
-    return out
+        submit = get_submit(store, cursor)
+        yield cursor, submit
+        cursor = submit.parent
+
+
+def own_submits(branch: Branch, store: Store) -> list[tuple[ContentId, Submit]]:
+    """The branch's own (id, submit) pairs, head back to its initial head:
+    the range where its commitments, review items, and offered content live."""
+    own = []
+    for cid, submit in ancestry(store, branch.stable_head):
+        own.append((cid, submit))
+        if cid == branch.initial_head:
+            break
+    return own
+
+
+def submit_history(branch: Branch, store: Store) -> list[Submit]:
+    """Submits from the stable head back to the branch's root submit, child
+    first: the branch's own range, then the initial submit's parent for a
+    derived branch (a genesis branch's range already ends at the singularity)."""
+    history = [submit for _, submit in own_submits(branch, store)]
+    if not history[-1].is_singularity():
+        history.append(get_submit(store, history[-1].parent))
+    return history
 
 
 def included_submits(store: Store, head: ContentId) -> dict[ContentId, Submit]:
     """Inclusion closure: the parent chain of `head` plus, transitively, the
-    parent chains hanging off every merge submit's belt tip.
-
-    The closure of a head never changes, so it is memoized on the store.
-    Treat the result as read-only.
-    """
-    cached = store.closure_cache.get(head)
-    if cached is None:
-        cached = store.closure_cache[head] = closure(store, [head])
-    return cached
+    parent chains hanging off every merge submit's belt tip."""
+    return closure(store, [head])
 
 
 def _walk_closure(store: Store, heads: list[ContentId], included: dict):
@@ -480,12 +462,8 @@ def closure(store: Store, heads: list[ContentId]) -> dict[ContentId, Submit]:
 
 
 def in_closure(store: Store, head: ContentId, target: ContentId) -> bool:
-    """Whether target is in the inclusion closure of head.  Answered from the
-    memo when the closure is held; otherwise the walk stops at target, which
-    usually sits near the head, and nothing is memoised."""
-    held = store.closure_cache.get(head)
-    if held is not None:
-        return target in held
+    """Whether target is in the inclusion closure of head.  The walk stops
+    at target, which usually sits near the head."""
     return target in _walk_closure(store, [head], {})
 
 
@@ -572,7 +550,10 @@ def collect_evidence(branch: Branch, store: Store, node_attestations: dict | Non
     items, containers), plus storage and token attestations.
     node_attestations, when the caller keeps one, memoises the attestations
     per trie node."""
-    history = _history(branch, store)
+    history = own_submits(branch, store)
+    root = history[-1][1].parent
+    if root != NULL_ID:
+        history.append((root, get_submit(store, root)))
     tips = [s.submit_trace.belt_tip for _, s in history if s.submit_trace.belt_tip is not None]
     evidence: set[ContentId] = set()
     for cid, submit in itertools.chain(history, closure(store, tips).items()):

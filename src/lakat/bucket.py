@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass, replace
 
 from .codec import (
+    CodecError,
     ContentId,
     LogicalTimestamp,
     canonical_encode,
@@ -255,7 +256,7 @@ def check_context_membership(
         obj = None
         try:
             obj = store.get_object(cid)
-        except Exception:
+        except CodecError:
             continue
         if isinstance(obj, Bucket) and is_molecular(obj):
             contexted.update(arrangement_of(store, obj))

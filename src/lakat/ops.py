@@ -22,6 +22,7 @@ from .branch import (
     TWIG,
     Submit,
     SubmitTrace,
+    ancestry,
     closure,
     compute_branch_id,
     conflict_records,
@@ -292,10 +293,4 @@ def bucket_set(state: ProtocolState, branch_id: ContentId) -> set[ContentId]:
 
 def submit_set(state: ProtocolState, branch_id: ContentId) -> set[ContentId]:
     """The branch's own submit chain (full ancestry, no belt closures)."""
-    branch = state.branches[branch_id]
-    out = set()
-    cursor = branch.stable_head
-    while cursor != NULL_ID:
-        out.add(cursor)
-        cursor = get_submit(state.store, cursor).parent
-    return out
+    return {cid for cid, _ in ancestry(state.store, state.branches[branch_id].stable_head)}

@@ -23,6 +23,7 @@ from .branch import (
     TWIG,
     get_submit,
     in_closure,
+    own_submits,
 )
 from .state import OK, ProtocolState, Verdict
 from .store import MissingRecord
@@ -61,7 +62,6 @@ class PullRequest:
     target_branch: ContentId
     review_container: ContentId
     carrier_submit: ContentId
-    status: str = "created"
 
 
 class AuthorizationError(Exception):
@@ -153,9 +153,7 @@ def create_pull_request(
     if not verdict.ok:
         raise AuthorizationError(f"pull request push rejected: {verdict.code}")
     state.add_proof(make_contribution_proof(author, issuing_id, "content", carrier))
-    pr = PullRequest(issuing_id, requesting_id, target_id, container_id, carrier)
-    pr.status = "mature" if check_maturity(state, pr) else "created"
-    return pr, submit
+    return PullRequest(issuing_id, requesting_id, target_id, container_id, carrier), submit
 
 
 def check_maturity(state: ProtocolState, pr: PullRequest) -> bool:
@@ -167,22 +165,8 @@ def check_maturity(state: ProtocolState, pr: PullRequest) -> bool:
     return in_closure(state.store, requesting.stable_head, pr.carrier_submit)
 
 
-def own_submits(state: ProtocolState, branch: Branch) -> list[Submit]:
-    """The branch's own submits, head back to (and excluding) its root: the
-    range where its commitments, review items, and offered content live."""
-    out = []
-    cursor = branch.stable_head
-    while cursor != NULL_ID:
-        submit = get_submit(state.store, cursor)
-        out.append(submit)
-        if cursor == branch.initial_head:
-            break
-        cursor = submit.parent
-    return out
-
-
 def _trace_records(state: ProtocolState, branch: Branch):
-    for submit in own_submits(state, branch):
+    for _, submit in own_submits(branch, state.store):
         for cid in submit.submit_trace.reviews_trace:
             try:
                 yield cid, state.store.get_object(cid)
@@ -234,7 +218,6 @@ def commit_review(
     if not verdict.ok:
         return verdict
     state.add_proof(make_contribution_proof(committer, pr.requesting_branch, "review", commitment_id))
-    pr.status = "under_review"
     return OK
 
 
@@ -243,7 +226,7 @@ def container_chain(state: ProtocolState, pr: PullRequest) -> list[ContentId]:
     parent links from the original container."""
     requesting = state.branches[pr.requesting_branch]
     by_parent: dict[ContentId, ContentId] = {}
-    for submit in own_submits(state, requesting):
+    for _, submit in own_submits(requesting, state.store):
         for cid in submit.submit_trace.new_buckets:
             try:
                 bucket = state.store.get_object(cid)
@@ -265,8 +248,7 @@ def review_items_for(state: ProtocolState, pr: PullRequest) -> list[tuple[bytes,
     referenced = set(arrangement_of(state.store, container))
     requesting = state.branches[pr.requesting_branch]
     out = []
-    history = own_submits(state, requesting)
-    for submit in reversed(history):
+    for _, submit in reversed(own_submits(requesting, state.store)):
         for cid in submit.submit_trace.reviews_trace:
             try:
                 record = state.store.get_object(cid)
@@ -349,7 +331,7 @@ def default_review_scope(state: ProtocolState, pr: PullRequest) -> list[ContentI
     requesting = state.branches[pr.requesting_branch]
     skip = set(container_chain(state, pr))
     reviewed = []
-    for submit in reversed(own_submits(state, requesting)):
+    for _, submit in reversed(own_submits(requesting, state.store)):
         if submit.submit_trace.reviews_trace:
             continue
         for cid in submit.submit_trace.new_buckets:
@@ -376,7 +358,4 @@ def merge_ready(state: ProtocolState, pr: PullRequest, target_config) -> bool:
     if completed_rounds < target_config.min_review_rounds:
         return False
     rejects = sum(1 for key in with_items if per_reviewer[key][-1].verdict == "reject")
-    if not target_config.acceptance_rule.satisfied(len(with_items), rejects):
-        return False
-    pr.status = "complete"
-    return True
+    return target_config.acceptance_rule.satisfied(len(with_items), rejects)

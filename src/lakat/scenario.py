@@ -15,6 +15,7 @@ from .codec import ContentId, canonical_encode, content_id
 from .identity import KeyIdentity, make_contribution_proof
 from .branch import (
     BranchConfig,
+    IntegrityError,
     PROPER,
     TWIG,
     Verifier,
@@ -496,7 +497,7 @@ def dump_state(world: World, path: str):
             try:
                 head = get_submit(peer.state.store, branch.stable_head)
                 roots[bid.hex] = head.trie_root.hex
-            except Exception:
+            except (MissingRecord, IntegrityError):
                 roots[bid.hex] = None
         with open(os.path.join(peer_dir, "trie_roots.json"), "w") as fh:
             json.dump(roots, fh, sort_keys=True, indent=1)

@@ -14,12 +14,12 @@ import json
 import random
 from dataclasses import dataclass
 
-from .codec import NULL_ID, ContentId, LogicalTimestamp, canonical_decode, canonical_encode, content_id
+from .codec import CodecError, ContentId, LogicalTimestamp, canonical_decode, canonical_encode, content_id
 from .identity import ContributionProof, KeyIdentity
-from .branch import Branch, SelectionEntry, Submit, branch_header_from_json, get_submit
+from .branch import Branch, IntegrityError, SelectionEntry, ancestry, branch_header_from_json
 from .lignify import SproutWrap
 from .state import ProtocolState
-from .store import MemoryStore
+from .store import MemoryStore, MissingRecord
 
 GOSSIP, BRANCH_REQUEST, SCENARIO_ACTION = "gossip_state", "branch_request", "scenario_action"
 
@@ -308,28 +308,6 @@ def receive_gossip(world: World, peer: Peer, payload: bytes):
         world.flush_gossip(peer.name)
 
 
-def _ancestry_contains(state: ProtocolState, head: ContentId, target: ContentId) -> bool:
-    cursor = head
-    steps = 0
-    while cursor != NULL_ID and steps < 100_000:
-        if cursor == target:
-            return True
-        if not state.store.has(cursor):
-            return False
-        cursor = get_submit(state.store, cursor).parent
-        steps += 1
-    return False
-
-
-def _chain_length(state: ProtocolState, head: ContentId) -> int:
-    length = 0
-    cursor = head
-    while cursor != NULL_ID and state.store.has(cursor):
-        length += 1
-        cursor = get_submit(state.store, cursor).parent
-    return length
-
-
 def _merge_selections(local: Branch, remote: Branch):
     by_sprout = {entry.sprout: entry for entry in local.sprout_selection}
     for entry in remote.sprout_selection:
@@ -346,32 +324,25 @@ def _merge_selections(local: Branch, remote: Branch):
         by_sprout[entry.sprout] = merged
 
 
-def _chain_resolvable(state: ProtocolState, head: ContentId) -> bool:
-    cursor = head
-    while cursor != NULL_ID:
-        if not state.store.has(cursor):
-            return False
-        submit = state.store.get_object(cursor)
-        if not isinstance(submit, Submit):
-            return False
-        cursor = submit.parent
-    return True
-
-
 def adopt_header(state: ProtocolState, header_text: str) -> tuple[bool, bool]:
     """Join a remote branch header into the local state.
 
     Equal heads union their consensus entries; a remote head that extends the
     local chain is adopted wholesale; divergent twig heads resolve to the
-    longer chain (then smaller head id).  Returns (changed, resolvable);
-    a header whose chain records have not all arrived reports resolvable
-    False so the caller can retry it later.
+    longer chain (then larger head id).  Returns (changed, resolvable);
+    a header whose chain does not resolve to submits down to the singularity
+    (a record has not arrived, or is not a submit) reports resolvable False
+    so the caller can retry it later.
     """
     remote = branch_header_from_json(json.loads(header_text))
     local = state.branches.get(remote.branch_id)
+    # a local chain always resolves, so the walk may stop at the local head
+    stop = () if local is None else (local.stable_head,)
+    try:
+        remote_chain = list(ancestry(state.store, remote.stable_head, stop))
+    except (MissingRecord, IntegrityError, CodecError):
+        return False, False
     if local is None:
-        if not _chain_resolvable(state, remote.stable_head):
-            return False, False
         state.add_branch(remote)
         return True, True
     before = local.fingerprint()
@@ -390,18 +361,12 @@ def adopt_header(state: ProtocolState, header_text: str) -> tuple[bool, bool]:
             theirs = json.dumps(remote.config.to_json(), sort_keys=True)
             if theirs < mine:
                 local.config = remote.config
-    elif _ancestry_contains(state, remote.stable_head, local.stable_head):
-        if not _chain_resolvable(state, remote.stable_head):
-            return False, False
+    elif remote_chain[-1][1].parent == local.stable_head:  # the walk stopped at the local head
         _adopt_fields(local, remote)
-    elif _ancestry_contains(state, local.stable_head, remote.stable_head):
-        pass  # stale gossip
     else:
-        if not _chain_resolvable(state, remote.stable_head):
-            return False, False
-        mine = (_chain_length(state, local.stable_head), local.stable_head)
-        theirs = (_chain_length(state, remote.stable_head), remote.stable_head)
-        if theirs > mine:
+        local_chain = list(ancestry(state.store, local.stable_head, (remote.stable_head,)))
+        stale = local_chain[-1][1].parent == remote.stable_head
+        if not stale and (len(remote_chain), remote.stable_head) > (len(local_chain), local.stable_head):
             _adopt_fields(local, remote)
     return local.fingerprint() != before, True
 

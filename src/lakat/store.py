@@ -25,7 +25,6 @@ class Store:
 
     def __init__(self):
         self._decoded: dict[ContentId, object] = {}
-        self.closure_cache: dict[ContentId, dict] = {}
         self.node_cache: dict[ContentId, object] = {}  # decoded trie nodes, see trie.load_node
 
     def put(self, data: bytes) -> ContentId:

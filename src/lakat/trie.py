@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codec import ContentId, NULL_ID, canonical_decode, canonical_encode, content_id, protocol_struct
+from .codec import CodecError, ContentId, NULL_ID, canonical_decode, canonical_encode, content_id, protocol_struct
 from .bucket import BucketInfo
 from .store import Store
 
@@ -241,7 +241,7 @@ def verify_proof(
             return False
         try:
             node = decode_node(data)
-        except Exception:
+        except (CodecError, TrieError):
             return False
         last = index == len(proof.path) - 1
         if isinstance(node, TrieLeaf):

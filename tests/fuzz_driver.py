@@ -7,7 +7,7 @@ proper branch ever loses a submit from its lignified history prefix.
 
 import random
 
-from lakat.branch import ancestry_ids
+from lakat.branch import ancestry
 from lakat.identity import make_contribution_proof
 from lakat.lignify import lignify, wrap_merge_in_sprout
 from lakat.ops import create_genesis_branch, create_rooted_branch, execute_merge, plan_merge
@@ -186,7 +186,7 @@ class FuzzRun:
                 if previous is not None and previous[-1] == branch.stable_head:
                     continue  # head unchanged since the last check
                 try:
-                    chain = list(reversed(ancestry_ids(peer.state.store, branch.stable_head)))
+                    chain = [cid for cid, _ in ancestry(peer.state.store, branch.stable_head)][::-1]
                 except Exception:
                     continue
                 if previous is not None and chain[: len(previous)] != previous:

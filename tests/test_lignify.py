@@ -380,11 +380,11 @@ def test_conversion_fills_parent_exactly_once(state, alice):
 
 def test_lignified_head_never_revoked(state, alice, rng):
     """Randomized walks only ever extend the core's history prefix."""
-    from lakat.branch import ancestry_ids
+    from lakat.branch import ancestry
     from lakat.lignify import LignificationError, ascend_to_core
 
     core = make_core(state, alice)
-    prefix = list(reversed(ancestry_ids(state.store, core.stable_head)))
+    prefix = [cid for cid, _ in ancestry(state.store, core.stable_head)][::-1]
     frontier = [core.branch_id]
     at = 1
     for round_ in range(40):
@@ -399,6 +399,6 @@ def test_lignified_head_never_revoked(state, alice, rng):
         at += rng.choice([1, 3, L + B + 1])
         owning_core = ascend_to_core(state, state.branches[wrap.sprout])
         lignify(state, owning_core.branch_id, cid, now=tick(at))
-        chain = list(reversed(ancestry_ids(state.store, core.stable_head)))
+        chain = [cid for cid, _ in ancestry(state.store, core.stable_head)][::-1]
         assert chain[: len(prefix)] == prefix, "lignified prefix was rewritten"
         prefix = chain

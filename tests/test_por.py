@@ -45,7 +45,6 @@ def test_twig_pr_is_immediately_mature(por_world, bob):
     state, target, twig = por_world
     pr, _ = create_pull_request(state, twig.branch_id, twig.branch_id, target.branch_id, bob, tick(3))
     assert check_maturity(state, pr)
-    assert pr.status == "mature"
 
 
 def test_pull_request_trace_recorded(por_world, bob):

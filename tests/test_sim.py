@@ -1,12 +1,16 @@
+import json
+
 import pytest
 
-from lakat.codec import content_id
+from lakat.bucket import create_atomic_bucket
+from lakat.codec import NULL_ID, canonical_encode, content_id
 from lakat.identity import make_contribution_proof
 from lakat.branch import get_submit
 from lakat.ops import create_genesis_branch, create_rooted_branch
 from lakat.review import twig_push
-from lakat.sim import GOSSIP, SimConfig, World, route_request
+from lakat.sim import GOSSIP, SimConfig, World, receive_gossip, route_request
 from lakat.state import build_content_submit
+from lakat.store import MemoryStore
 from conftest import proper_config, twig_config
 
 
@@ -202,11 +206,33 @@ def test_twig_fork_resolves_deterministically():
     for peer in (p1, p2):
         peer.state.add_proof(make_contribution_proof(
             p2.identity, branch.branch_id, "content", branch.initial_head))
-    push_on(world, "p1", branch.branch_id, p1.identity, b"from p1")
-    push_on(world, "p2", branch.branch_id, p2.identity, b"from p2")
+    first = push_on(world, "p1", branch.branch_id, p1.identity, b"from p1")
+    second = push_on(world, "p2", branch.branch_id, p2.identity, b"from p2")
     world.run_until_quiescent()
     heads = {peer.state.branches[branch.branch_id].stable_head for peer in world.peers.values()}
-    assert len(heads) == 1
+    # equal chain lengths: the larger head id wins
+    assert heads == {max(first, second)}
+
+
+def test_header_with_a_non_submit_head_is_buffered():
+    """A known branch's header whose stable head names a bucket, or bytes
+    that decode to nothing, waits as unresolvable instead of raising."""
+    world = make_world(peers=("p1", "p2"))
+    p2 = world.peers["p2"]
+    branch = create_on(world, "p1")
+    world.run_until_quiescent()
+    held = p2.state.branches[branch.branch_id].stable_head
+    hostile = MemoryStore()
+    _, bucket = create_atomic_bucket(hostile, hostile.put(b"creator"), NULL_ID, b"x", [], world.now())
+    garbage = hostile.put(b"\xff not a record")
+    records = [hostile.get(cid) for cid in hostile.ids()]
+    for head in (bucket, garbage):
+        data = branch.header_json()
+        data["stable_head"] = head.hex
+        header = json.dumps(data, sort_keys=True)
+        receive_gossip(world, p2, canonical_encode([b"gossip", branch.branch_id, [header], [], [], records, [], []]))
+        assert p2.state.branches[branch.branch_id].stable_head == held
+        assert p2.pending_headers[branch.branch_id.hex + head.hex] == header
 
 
 # -- routing ----------------------------------------------------------------------
