@@ -396,7 +396,8 @@ def ancestry(store: Store, head: ContentId, stop=()):
     """Yield (id, submit) along the parent chain from head down to the
     singularity, or down to the first id in stop, which is not yielded.
     Raises MissingRecord for a missing record and IntegrityError for a cycle
-    or a record that is not a submit."""
+    or a record that is not a submit, and CodecError for a record whose
+    bytes do not decode."""
     seen = set()
     cursor = head
     while cursor != NULL_ID and cursor not in stop:
@@ -419,14 +420,22 @@ def own_submits(branch: Branch, store: Store) -> list[tuple[ContentId, Submit]]:
     return own
 
 
+def _history(branch: Branch, store: Store) -> list[tuple[ContentId, Submit]]:
+    """(id, submit) pairs from the stable head back to the branch's root
+    submit, child first: the branch's own range, then the initial submit's
+    parent for a derived branch (a genesis branch's range already ends at the
+    singularity).  Empty for a branch whose head is the null id."""
+    history = own_submits(branch, store)
+    if history and history[-1][1].parent != NULL_ID:
+        root = history[-1][1].parent
+        history.append((root, get_submit(store, root)))
+    return history
+
+
 def submit_history(branch: Branch, store: Store) -> list[Submit]:
     """Submits from the stable head back to the branch's root submit, child
-    first: the branch's own range, then the initial submit's parent for a
-    derived branch (a genesis branch's range already ends at the singularity)."""
-    history = [submit for _, submit in own_submits(branch, store)]
-    if not history[-1].is_singularity():
-        history.append(get_submit(store, history[-1].parent))
-    return history
+    first."""
+    return [submit for _, submit in _history(branch, store)]
 
 
 def included_submits(store: Store, head: ContentId) -> dict[ContentId, Submit]:
@@ -550,10 +559,7 @@ def collect_evidence(branch: Branch, store: Store, node_attestations: dict | Non
     items, containers), plus storage and token attestations.
     node_attestations, when the caller keeps one, memoises the attestations
     per trie node."""
-    history = own_submits(branch, store)
-    root = history[-1][1].parent
-    if root != NULL_ID:
-        history.append((root, get_submit(store, root)))
+    history = _history(branch, store)
     tips = [s.submit_trace.belt_tip for _, s in history if s.submit_trace.belt_tip is not None]
     evidence: set[ContentId] = set()
     for cid, submit in itertools.chain(history, closure(store, tips).items()):

@@ -331,10 +331,12 @@ def adopt_header(state: ProtocolState, header_text: str) -> tuple[bool, bool]:
     local chain is adopted wholesale; divergent twig heads resolve to the
     longer chain (then larger head id).  Returns (changed, resolvable);
     a header whose chain does not resolve to submits down to the singularity
-    (a record has not arrived, or is not a submit) reports resolvable False
-    so the caller can retry it later.
+    (a record has not arrived, or is not a submit, or the head names no
+    submit at all) reports resolvable False so the caller can retry it later.
     """
     remote = branch_header_from_json(json.loads(header_text))
+    if remote.stable_head.is_null():
+        return False, False
     local = state.branches.get(remote.branch_id)
     # a local chain always resolves, so the walk may stop at the local head
     stop = () if local is None else (local.stable_head,)

@@ -14,6 +14,7 @@ from lakat.branch import (
     Submit,
     SubmitTrace,
     branch_header_from_json,
+    collect_evidence,
     compute_branch_id,
     conflict_records,
     derive_contributors,
@@ -85,6 +86,15 @@ def test_three_chain_history_order(state, alice):
     assert len(history) == 3
     assert [submit_id(s) for s in history[:2]] == [second, first]
     assert history[-1].is_singularity()
+
+
+def test_null_head_has_empty_history_and_evidence(state, alice):
+    branch = create_genesis_branch(state, twig_config(), alice, tick(0))
+    headless = replace(branch, stable_head=NULL_ID)
+    assert submit_history(headless, state.store) == []
+    assert collect_evidence(headless, state.store) == set()
+    state.branches[branch.branch_id] = headless
+    assert not state.contributors(branch.branch_id).all_keys()
 
 
 def test_derived_history_stops_at_root_then_follows_parent(state, alice, bob):

@@ -215,8 +215,9 @@ def test_twig_fork_resolves_deterministically():
 
 
 def test_header_with_a_non_submit_head_is_buffered():
-    """A known branch's header whose stable head names a bucket, or bytes
-    that decode to nothing, waits as unresolvable instead of raising."""
+    """A header whose stable head names a bucket, bytes that decode to
+    nothing, or the null id waits as unresolvable instead of raising, for a
+    known branch and for an unknown one."""
     world = make_world(peers=("p1", "p2"))
     p2 = world.peers["p2"]
     branch = create_on(world, "p1")
@@ -226,13 +227,18 @@ def test_header_with_a_non_submit_head_is_buffered():
     _, bucket = create_atomic_bucket(hostile, hostile.put(b"creator"), NULL_ID, b"x", [], world.now())
     garbage = hostile.put(b"\xff not a record")
     records = [hostile.get(cid) for cid in hostile.ids()]
-    for head in (bucket, garbage):
-        data = branch.header_json()
-        data["stable_head"] = head.hex
-        header = json.dumps(data, sort_keys=True)
-        receive_gossip(world, p2, canonical_encode([b"gossip", branch.branch_id, [header], [], [], records, [], []]))
-        assert p2.state.branches[branch.branch_id].stable_head == held
-        assert p2.pending_headers[branch.branch_id.hex + head.hex] == header
+    unknown = content_id(b"unknown branch")
+    for branch_id in (branch.branch_id, unknown):
+        for head in (bucket, garbage, NULL_ID):
+            data = branch.header_json()
+            data["branch_id"] = branch_id.hex
+            data["stable_head"] = head.hex
+            header = json.dumps(data, sort_keys=True)
+            receive_gossip(world, p2, canonical_encode([b"gossip", branch_id, [header], [], [], records, [], []]))
+            assert p2.state.branches[branch.branch_id].stable_head == held
+            assert unknown not in p2.state.branches
+            assert p2.pending_headers[branch_id.hex + head.hex] == header
+    assert len(p2.state.contributors(branch.branch_id).all_keys()) == 1
 
 
 # -- routing ----------------------------------------------------------------------
