@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .codec import (
+    CodecError,
     ContentId,
     LogicalTimestamp,
     NULL_ID,
@@ -655,7 +656,7 @@ class Verifier:
     def _check_chain(self, head: ContentId, verdict: BranchVerdict) -> dict[ContentId, Submit] | None:
         """Check the submits from head down to the first verified one, and
         return them, or None when the chain is broken (cycle, dangling
-        submit, or a record that is not a submit)."""
+        submit, or a record that is not a submit or does not decode)."""
         store, verified = self.store, self.verified
         walked: dict[ContentId, Submit] = {}
         cursor = head
@@ -670,7 +671,10 @@ class Verifier:
                 return None
             if content_id(raw) != cursor:
                 verdict.fail("submit-id-mismatch", cursor.hex)
-            submit = store.get_object(cursor)
+            try:
+                submit = store.get_object(cursor)
+            except CodecError:
+                submit = None
             if not isinstance(submit, Submit):
                 verdict.fail("history-integrity", f"{cursor.hex} is not a submit")
                 return None

@@ -350,7 +350,6 @@ def lignify(
     state: ProtocolState,
     core_id: ContentId,
     new_merge_submit: ContentId,
-    params: LignificationParams | None = None,
     now: LogicalTimestamp | None = None,
 ) -> list[str]:
     """Run the finality walk triggered by a newly wrapped merge submit.
@@ -361,8 +360,7 @@ def lignify(
     core = state.branches.get(core_id)
     if core is None:
         raise LignificationError("unknown core branch")
-    if params is None:
-        params = LignificationParams.from_config(core.config)
+    params = LignificationParams.from_config(core.config)
     if now is None:
         raise LignificationError("current tick required")
     trigger_sprout = None

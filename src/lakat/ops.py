@@ -90,7 +90,6 @@ def create_genesis_branch(
         branch.branch_token.append(token_attestation)
     state.add_branch(branch)
     state.add_proof(make_contribution_proof(creator, branch_id, "content", head))
-    state.requests_for(branch_id).enqueue("branch_creation_broadcast", branch.header_text())
     return branch
 
 
@@ -130,7 +129,6 @@ def create_rooted_branch(
     )
     state.add_branch(branch)
     state.add_proof(make_contribution_proof(creator, branch_id, "content", head))
-    state.requests_for(branch_id).enqueue("branch_creation_broadcast", branch.header_text())
     return branch
 
 

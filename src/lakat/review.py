@@ -165,8 +165,9 @@ def check_maturity(state: ProtocolState, pr: PullRequest) -> bool:
     return in_closure(state.store, requesting.stable_head, pr.carrier_submit)
 
 
-def _trace_records(state: ProtocolState, branch: Branch):
-    for _, submit in own_submits(branch, state.store):
+def _trace_records(state: ProtocolState, branch: Branch, oldest_first: bool = False):
+    submits = own_submits(branch, state.store)
+    for _, submit in reversed(submits) if oldest_first else submits:
         for cid in submit.submit_trace.reviews_trace:
             try:
                 yield cid, state.store.get_object(cid)
@@ -248,17 +249,10 @@ def review_items_for(state: ProtocolState, pr: PullRequest) -> list[tuple[bytes,
     referenced = set(arrangement_of(state.store, container))
     requesting = state.branches[pr.requesting_branch]
     out = []
-    for _, submit in reversed(own_submits(requesting, state.store)):
-        for cid in submit.submit_trace.reviews_trace:
-            try:
-                record = state.store.get_object(cid)
-            except MissingRecord:
-                continue
-            if not isinstance(record, ReviewItem) or record.bucket not in referenced:
-                continue
+    for _, record in _trace_records(state, requesting, oldest_first=True):
+        if isinstance(record, ReviewItem) and record.bucket in referenced:
             review_bucket = state.store.get_object(record.bucket)
-            reviewer = bytes(state.store.get(review_bucket.creator_root))
-            out.append((reviewer, record))
+            out.append((bytes(state.store.get(review_bucket.creator_root)), record))
     return out
 
 

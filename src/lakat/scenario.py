@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .codec import ContentId, canonical_encode, content_id
+from .codec import CodecError, ContentId, canonical_encode
 from .identity import KeyIdentity, make_contribution_proof
 from .branch import (
     BranchConfig,
@@ -30,7 +30,7 @@ from .ops import create_genesis_branch, create_rooted_branch, execute_merge, pla
 from .review import PullRequest, commit_review, create_pull_request, submit_review, twig_push
 from .sim import SimConfig, World, route_request
 from .state import build_content_submit
-from .store import MemoryStore, MissingRecord
+from .store import MemoryStore, MissingRecord, open_log, read_log, write_log
 from . import trie as trie_mod
 
 DIRECTIVES = (
@@ -45,6 +45,7 @@ DIRECTIVES = (
     "advance_ticks",
     "expect",
 )
+QUIESCENCE_TICKS = 100_000  # a run whose events reach past this many ticks is NonQuiescent
 
 
 class ScenarioError(Exception):
@@ -72,13 +73,7 @@ class RunReport:
         return all(entry["ok"] for entry in self.assertions)
 
     def to_json(self) -> dict:
-        return {
-            "transcript_hash": self.transcript_hash,
-            "headers": self.headers,
-            "decision_log": self.decision_log,
-            "assertions": self.assertions,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def _need(step: dict, index: int, *keys):
@@ -233,9 +228,6 @@ class Runner:
 
     # -- helpers -----------------------------------------------------------
 
-    def _actor(self, name: str) -> tuple[KeyIdentity, str]:
-        return self.actors[name]
-
     def _branch_id(self, name: str) -> ContentId:
         if name in self.branches:
             return self.branches[name][0]
@@ -255,13 +247,13 @@ class Runner:
 
     # -- directive execution -------------------------------------------------
 
-    def run(self, max_quiescence_ticks: int = 100_000) -> RunReport:
+    def run(self) -> RunReport:
         world = self.world
         for index, step in enumerate(self.scenario.steps):
             op = step["op"]
             handler = getattr(self, f"_op_{op}")
             handler(index, step)
-        world.run_until_quiescent(max_quiescence_ticks)
+        world.run_until_quiescent(QUIESCENCE_TICKS)
         self.report.transcript_hash = world.transcript_hash()
         self.report.decision_log = list(world.decision_log)
         headers = {}
@@ -274,7 +266,7 @@ class Runner:
         return self.report
 
     def _op_create_branch(self, index, step):
-        creator, peer_name = self._actor(step["creator"])
+        creator, peer_name = self.actors[step["creator"]]
         state = self._state(peer_name)
         overrides = dict(step.get("config", {}))
         overrides["branch_type"] = step["type"]
@@ -297,7 +289,7 @@ class Runner:
         self.world.flush_gossip(peer_name)
 
     def _op_submit(self, index, step):
-        author, peer_name = self._actor(step["author"])
+        author, peer_name = self.actors[step["author"]]
         state = self._state(peer_name)
         branch_id = self._branch_id(step["branch"])
         branch = state.branches[branch_id]
@@ -314,7 +306,7 @@ class Runner:
         self.world.flush_gossip(peer_name)
 
     def _op_pull_request(self, index, step):
-        author, peer_name = self._actor(step["author"])
+        author, peer_name = self.actors[step["author"]]
         state = self._state(peer_name)
         issuing = self._branch_id(step["issuing"])
         requesting = self._branch_id(step["requesting"])
@@ -332,7 +324,7 @@ class Runner:
         self.world.flush_gossip(peer_name)
 
     def _op_commit_review(self, index, step):
-        reviewer, peer_name = self._actor(step["reviewer"])
+        reviewer, peer_name = self.actors[step["reviewer"]]
         state = self._state(peer_name)
         pr = self._pr(step["pr"])
         # consume the routed notification if it is waiting in the channel
@@ -344,7 +336,7 @@ class Runner:
         self.world.flush_gossip(peer_name)
 
     def _op_review(self, index, step):
-        reviewer, peer_name = self._actor(step["reviewer"])
+        reviewer, peer_name = self.actors[step["reviewer"]]
         state = self._state(peer_name)
         pr = self._pr(step["pr"])
         text = step.get("text", "").encode()
@@ -355,7 +347,7 @@ class Runner:
         self.world.flush_gossip(peer_name)
 
     def _op_merge(self, index, step):
-        author, peer_name = self._actor(step["author"])
+        author, peer_name = self.actors[step["author"]]
         state = self._state(peer_name)
         core_id = self._branch_id(step["core"])
         belt_id = self._branch_id(step["belt"])
@@ -363,7 +355,7 @@ class Runner:
         root_at = self._branch_id(step["root_at"]) if step.get("root_at") else core_id
         approvals = None
         if step.get("approvals"):
-            approvals = {self._actor(name)[0].public_key for name in step["approvals"]}
+            approvals = {self.actors[name][0].public_key for name in step["approvals"]}
         plan = plan_merge(state, core_id, belt_id, pr, root_at)
         merge_submit = execute_merge(state, plan, author, self.world.now(), approvals)
         cid = submit_id(merge_submit)
@@ -383,7 +375,7 @@ class Runner:
         self.world.flush_gossip(peer_name)
 
     def _op_veto(self, index, step):
-        actor, peer_name = self._actor(step["by"])
+        actor, peer_name = self.actors[step["by"]]
         state = self._state(peer_name)
         core_id = self._branch_id(step["core"])
         sprout_id = self.sprouts[step["sprout"]][0]
@@ -397,7 +389,7 @@ class Runner:
         self.world.flush_gossip(peer_name)
 
     def _op_vote(self, index, step):
-        actor, peer_name = self._actor(step["by"])
+        actor, peer_name = self.actors[step["by"]]
         state = self._state(peer_name)
         core_id = self._branch_id(step["core"])
         sprout_id = self.sprouts[step["sprout"]][0]
@@ -447,7 +439,7 @@ class Runner:
         if that == "contributor":
             branch_id = self._branch_id(step["branch"])
             state = self._home_state(step["branch"])
-            identity, _ = self._actor(step["actor"])
+            identity, _ = self.actors[step["actor"]]
             present = state.contributors(branch_id).has(identity.public_key, step.get("kind"))
             return present == step.get("present", True), f"present={present}"
         if that == "bucket_count":
@@ -477,7 +469,7 @@ def run(scenario: Scenario) -> RunReport:
 
 
 def dump_state(world: World, path: str):
-    """Write branch headers, the bucket store index, and trie roots per peer."""
+    """Write branch headers, the record log, and trie roots per peer."""
     os.makedirs(path, exist_ok=True)
     for name, peer in world.peers.items():
         peer_dir = os.path.join(path, name)
@@ -488,9 +480,8 @@ def dump_state(world: World, path: str):
         }
         with open(os.path.join(peer_dir, "headers.json"), "w") as fh:
             json.dump(headers, fh, sort_keys=True, indent=1)
-        with open(os.path.join(peer_dir, "store.log"), "w") as fh:
-            for cid in peer.state.store.ids():
-                fh.write(f"{cid.hex} {peer.state.store.get(cid).hex()}\n")
+        with open_log(os.path.join(peer_dir, "store.log"), "w") as fh:
+            write_log(fh, peer.state.store)
         roots = {}
         for bid in sorted(peer.state.branches):
             branch = peer.state.branches[bid]
@@ -503,55 +494,69 @@ def dump_state(world: World, path: str):
             json.dump(roots, fh, sort_keys=True, indent=1)
 
 
+HEADER_ERRORS = (KeyError, TypeError, ValueError, AttributeError, CodecError)  # of an unreadable header
+
+
 def verify_dump(path: str) -> list[str]:
     """Re-check integrity of a dumped world; returns a list of problems."""
-    problems = []
     if not os.path.isdir(path):
         return [f"not a dump directory: {path}"]
+    problems = []
     for name in sorted(os.listdir(path)):
         peer_dir = os.path.join(path, name)
-        if not os.path.isdir(peer_dir):
-            continue
-        store = MemoryStore()
-        log_path = os.path.join(peer_dir, "store.log")
-        if os.path.exists(log_path):
-            with open(log_path, errors="replace") as fh:
-                for line_no, line in enumerate(fh, 1):
-                    try:
-                        hex_id, hex_bytes = line.strip().split(" ", 1)
-                        data = bytes.fromhex(hex_bytes)
-                    except ValueError:
-                        problems.append(f"{name}: store.log line {line_no} malformed")
-                        continue
-                    if content_id(data).hex != hex_id:
-                        problems.append(f"{name}: store.log line {line_no} id mismatch")
-                    store.put(data)
-        headers_path = os.path.join(peer_dir, "headers.json")
-        if not os.path.exists(headers_path):
-            continue
-        with open(headers_path) as fh:
-            headers = json.load(fh)
-        roots_path = os.path.join(peer_dir, "trie_roots.json")
-        roots = {}
-        if os.path.exists(roots_path):
-            with open(roots_path) as fh:
-                roots = json.load(fh)
-        verifier = Verifier(store)  # shared history is checked once per peer
-        readable = set()  # trie roots read in full
-        for bid_hex, header in headers.items():
-            branch = branch_header_from_json(header)
-            try:
-                verdict = verifier.verify(branch)
-                if not verdict.ok:
-                    problems.append(f"{name}: branch {bid_hex[:12]} fails: {verdict.codes()}")
-                expected_root = roots.get(bid_hex)
-                if expected_root:
-                    head = get_submit(store, branch.stable_head)
-                    if head.trie_root.hex != expected_root:
-                        problems.append(f"{name}: branch {bid_hex[:12]} trie root mismatch")
-                    elif head.trie_root not in readable:
-                        trie_mod.items(trie_mod.Trie(head.trie_root, store))  # must be fully readable
-                        readable.add(head.trie_root)
-            except MissingRecord as exc:
-                problems.append(f"{name}: branch {bid_hex[:12]} misses record {exc}")
+        if os.path.isdir(peer_dir):
+            problems.extend(f"{name}: {problem}" for problem in _verify_peer(peer_dir))
     return problems
+
+
+def _verify_peer(peer_dir: str) -> list[str]:
+    problems = []
+    store = MemoryStore()
+    if os.path.exists(os.path.join(peer_dir, "store.log")):
+        with open_log(os.path.join(peer_dir, "store.log")) as fh:
+            for line_no, _, data, problem in read_log(fh):
+                if problem is not None:
+                    problems.append(f"store.log line {line_no} {problem}")
+                if data is not None:
+                    store.put(data)
+    headers, roots = (_json_object(peer_dir, name, problems) for name in ("headers.json", "trie_roots.json"))
+    verifier = Verifier(store)  # shared history is checked once per peer
+    readable = set()  # trie roots read in full
+    for bid_hex, header in headers.items():
+        label = f"branch {bid_hex[:12]}"
+        try:
+            branch = branch_header_from_json(header)
+        except HEADER_ERRORS as exc:
+            problems.append(f"{label} header unreadable: {type(exc).__name__}")
+            continue
+        try:
+            verdict = verifier.verify(branch)
+            if not verdict.ok:
+                problems.append(f"{label} fails: {verdict.codes()}")
+            expected_root = roots.get(bid_hex)
+            if expected_root and branch.stable_head in verifier.verified:  # else the verdict failed it
+                head = get_submit(store, branch.stable_head)
+                if head.trie_root.hex != expected_root:
+                    problems.append(f"{label} trie root mismatch")
+                elif head.trie_root not in readable:
+                    trie_mod.items(trie_mod.Trie(head.trie_root, store))  # must be fully readable
+                    readable.add(head.trie_root)
+        except MissingRecord as exc:
+            problems.append(f"{label} misses record {exc}")
+    return problems
+
+
+def _json_object(peer_dir: str, name: str, problems: list[str]) -> dict:
+    """The object in a dump's JSON file: {} if the file is absent, and {}
+    plus a problem line if it holds anything else."""
+    if not os.path.exists(os.path.join(peer_dir, name)):
+        return {}
+    try:
+        with open(os.path.join(peer_dir, name)) as fh:
+            data = json.load(fh)
+    except ValueError:  # not JSON, or not UTF-8
+        data = None
+    if not isinstance(data, dict):
+        problems.append(f"{name} is not a JSON object")
+        return {}
+    return data

@@ -112,8 +112,8 @@ class World:
 
     # -- event plumbing ------------------------------------------------------
 
-    def emit(self, kind: str, src: str, dst: str, payload: bytes, summary: str):
-        event = SimEvent(self.tick + self._latency(), kind, src, dst, payload, summary)
+    def emit(self, kind: str, src: str, dst: str, payload: bytes, summary: str, at: int | None = None):
+        event = SimEvent((self.tick if at is None else at) + self._latency(), kind, src, dst, payload, summary)
         self.seq += 1
         heapq.heappush(self.queue, (event.deliver_tick, event.event_id, self.seq, event))
 
@@ -138,10 +138,7 @@ class World:
                 continue
             for branch_id in sorted(other.state.branches):
                 payload = build_gossip_payload(other, branch_id, full_records=True)
-                event = SimEvent(at + self._latency(), GOSSIP, other.name, joiner, payload,
-                                 f"sync {branch_id.hex[:10]}")
-                self.seq += 1
-                heapq.heappush(self.queue, (event.deliver_tick, event.event_id, self.seq, event))
+                self.emit(GOSSIP, other.name, joiner, payload, f"sync {branch_id.hex[:10]}", at)
 
     def step(self) -> bool:
         """Deliver the next queued event; False when the queue is empty."""
@@ -291,18 +288,18 @@ def receive_gossip(world: World, peer: Peer, payload: bytes):
         state.spent.add(ContentId.from_hex(cid_hex))
     changed = False
     for header_text in headers:
-        adopted, resolvable = adopt_header(state, header_text)
+        adopted, waiting = adopt_header(state, header_text)
         if adopted:
             changed = True
-        if not resolvable:
+        if waiting:
             data = json.loads(header_text)
             peer.pending_headers[data["branch_id"] + data["stable_head"]] = header_text
     # new records may unlock headers buffered from earlier out-of-order gossip
     for key in list(peer.pending_headers):
-        adopted, resolvable = adopt_header(state, peer.pending_headers[key])
+        adopted, waiting = adopt_header(state, peer.pending_headers[key])
         if adopted:
             changed = True
-        if resolvable:
+        if not waiting:
             del peer.pending_headers[key]
     if changed:
         world.flush_gossip(peer.name)
@@ -329,10 +326,11 @@ def adopt_header(state: ProtocolState, header_text: str) -> tuple[bool, bool]:
 
     Equal heads union their consensus entries; a remote head that extends the
     local chain is adopted wholesale; divergent twig heads resolve to the
-    longer chain (then larger head id).  Returns (changed, resolvable);
-    a header whose chain does not resolve to submits down to the singularity
-    (a record has not arrived, or is not a submit, or the head names no
-    submit at all) reports resolvable False so the caller can retry it later.
+    longer chain (then larger head id).  Returns (changed, waiting): a
+    header whose chain down to the singularity misses a record reports
+    waiting True, so the caller can retry it once the record arrives.  A
+    header that can never resolve (a null head, a record in its chain that
+    is not a submit or does not decode, or a cycle) is ignored.
     """
     remote = branch_header_from_json(json.loads(header_text))
     if remote.stable_head.is_null():
@@ -342,11 +340,13 @@ def adopt_header(state: ProtocolState, header_text: str) -> tuple[bool, bool]:
     stop = () if local is None else (local.stable_head,)
     try:
         remote_chain = list(ancestry(state.store, remote.stable_head, stop))
-    except (MissingRecord, IntegrityError, CodecError):
+    except MissingRecord:
+        return False, True
+    except (IntegrityError, CodecError):
         return False, False
     if local is None:
         state.add_branch(remote)
-        return True, True
+        return True, False
     before = local.fingerprint()
     if local.stable_head == remote.stable_head:
         _merge_selections(local, remote)
@@ -370,7 +370,7 @@ def adopt_header(state: ProtocolState, header_text: str) -> tuple[bool, bool]:
         stale = local_chain[-1][1].parent == remote.stable_head
         if not stale and (len(remote_chain), remote.stable_head) > (len(local_chain), local.stable_head):
             _adopt_fields(local, remote)
-    return local.fingerprint() != before, True
+    return local.fingerprint() != before, False
 
 
 def _adopt_fields(local: Branch, remote: Branch):

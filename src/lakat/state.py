@@ -55,7 +55,7 @@ OK = Verdict(True)
 class ProtocolState:
     """A peer's stores, branches, proofs, wraps, and staging channels."""
 
-    def __init__(self, store: Store | None = None, channel_capacity: int = 64):
+    def __init__(self, store: Store | None = None):
         self.store: Store = store if store is not None else MemoryStore()
         self.verifier = Verifier(self.store)  # remembers the submits it checked
         self.branches: dict[ContentId, Branch] = {}
@@ -64,7 +64,6 @@ class ProtocolState:
         self.ousted: dict[ContentId, ContentId] = {}  # sprout id -> reference branch
         self.spent: set[ContentId] = set()  # sprouts absorbed by donation
         self.requests: dict[ContentId, BranchRequests] = {}
-        self.channel_capacity = channel_capacity
         # memos of contributors(); every entry is a function of its key
         self._direct: dict[ContentId, tuple] = {}  # branch -> (key, direct set, evidence set)
         self._merges: dict[ContentId, tuple[tuple, frozenset]] = {}  # head -> (belts, PR pairs)
@@ -74,13 +73,10 @@ class ProtocolState:
 
     def add_branch(self, branch: Branch):
         self.branches[branch.branch_id] = branch
-        self.requests.setdefault(branch.branch_id, BranchRequests(self.channel_capacity))
-
-    def branch(self, branch_id: ContentId) -> Branch:
-        return self.branches[branch_id]
+        self.requests.setdefault(branch.branch_id, BranchRequests())
 
     def requests_for(self, branch_id: ContentId) -> BranchRequests:
-        return self.requests.setdefault(branch_id, BranchRequests(self.channel_capacity))
+        return self.requests.setdefault(branch_id, BranchRequests())
 
     def add_proof(self, proof: ContributionProof):
         proofs = self.proofs.setdefault(proof.branch_id, [])
@@ -224,17 +220,13 @@ def build_content_submit(
     payloads: list[bytes] = (),
     attachments: list[tuple[ContentId, InfoDelta]] = (),
     trace: SubmitTrace | None = None,
-    parent_override: ContentId | None = None,
-    base_trie_root: ContentId | None = None,
 ) -> Submit:
     """Assemble a submit: create buckets for each payload, wrap them in a
     fresh molecular context bucket, apply info attachments, and maintain the
     reverse containment registry inside the trie."""
     store = state.store
-    parent = parent_override if parent_override is not None else branch.stable_head
-    if base_trie_root is None:
-        base_trie_root = get_submit(store, parent).trie_root
-    trie = trie_mod.Trie(base_trie_root, store)
+    parent = branch.stable_head
+    trie = trie_mod.Trie(get_submit(store, parent).trie_root, store)
     creator_root = store.put(author.public_key)
     new_buckets: list[ContentId] = []
     atomic_ids: list[ContentId] = []

@@ -1,8 +1,9 @@
-"""Content-addressed key-value stores.
+"""Content-addressed key-value stores, and the record log they are saved as.
 
 Keys are always the content id of the stored bytes.  Two backends: an
-in-memory map and an append-only log file with an offset index sidecar
-(one `hex-id SPACE hex-bytes` record per line).
+in-memory map and an append-only record log file.  This module owns the
+log format, one `hex-id SPACE hex-bytes` line per record: `write_log` and
+`FileStore.put` write it, and `read_log` alone reads it.
 """
 
 from __future__ import annotations
@@ -21,23 +22,12 @@ class MissingRecord(StoreError):
 
 
 class Store:
-    """Single-writer, multi-reader content-addressed map."""
+    """Single-writer, multi-reader content-addressed map: a backend defines
+    put, get, has and ids."""
 
     def __init__(self):
         self._decoded: dict[ContentId, object] = {}
         self.node_cache: dict[ContentId, object] = {}  # decoded trie nodes, see trie.load_node
-
-    def put(self, data: bytes) -> ContentId:
-        raise NotImplementedError
-
-    def get(self, cid: ContentId) -> bytes:
-        raise NotImplementedError
-
-    def has(self, cid: ContentId) -> bool:
-        raise NotImplementedError
-
-    def ids(self) -> list[ContentId]:
-        raise NotImplementedError
 
     def put_object(self, value) -> ContentId:
         return self.put(canonical_encode(value))
@@ -83,66 +73,86 @@ class MemoryStore(Store):
         return len(self._records)
 
 
+def open_log(path: str, mode: str = "r"):
+    """Open a record log as ASCII text split only at newlines, so a line's
+    length is its length in bytes (a non-ASCII byte reads as one U+FFFD)."""
+    return open(path, mode, encoding="ascii", errors="replace", newline="\n")
+
+
+def _log_line(cid: ContentId, data: bytes) -> str:
+    return f"{cid.hex} {data.hex()}\n"
+
+
+def write_log(fh, store: Store):
+    """Write store's records, in insertion order, to a log from open_log."""
+    fh.writelines(_log_line(cid, store.get(cid)) for cid in store.ids())
+
+
+def read_log(fh):
+    """Yield (line number, byte offset, record bytes, problem) per line of a
+    log from open_log, or of any iterable of its lines.  The problem is None,
+    "malformed" (bytes None), "id mismatch" (the bytes do not hash to the id),
+    or "torn": a last line without its newline (bytes None)."""
+    offset = 0
+    for line_no, line in enumerate(fh, 1):
+        if line[-1] != "\n":
+            yield line_no, offset, None, "torn"
+            return
+        hex_id, _, hex_bytes = line.partition(" ")
+        try:
+            data = bytes.fromhex(hex_bytes)
+        except ValueError:
+            data = None
+        if data is None or len(hex_bytes) != 2 * len(data) + 1:  # fromhex skips inner spaces
+            yield line_no, offset, None, "malformed"
+        else:
+            yield line_no, offset, data, None if content_id(data).hex == hex_id else "id mismatch"
+        offset += len(line)
+
+
 class FileStore(Store):
-    """Append-only log per run, with an id -> byte-offset index sidecar."""
+    """A record log on disk and each record's byte offset in memory.  The
+    log is the only truth: opening it cuts a torn last line (a put that did
+    not finish) and refuses any other bad line."""
 
     def __init__(self, path: str):
         super().__init__()
         self.path = path
-        self.index_path = path + ".idx"
         self._offsets: dict[ContentId, int] = {}
-        if os.path.exists(self.index_path):
-            self._load_index()
-        elif os.path.exists(self.path):
-            self._rebuild_index()
-        else:
-            open(self.path, "a").close()
-        self._log = open(self.path, "a")
-
-    def _load_index(self):
-        with open(self.index_path) as fh:
-            for line in fh:
-                hex_id, offset = line.split()
-                self._offsets[ContentId.from_hex(hex_id)] = int(offset)
-
-    def _rebuild_index(self):
-        offset = 0
-        with open(self.path) as fh:
-            for line in fh:
-                hex_id, _ = line.split(" ", 1)
-                self._offsets[ContentId.from_hex(hex_id)] = offset
-                offset += len(line)
-        self._write_index()
-
-    def _write_index(self):
-        with open(self.index_path, "w") as fh:
-            for cid, offset in self._offsets.items():
-                fh.write(f"{cid.hex} {offset}\n")
+        if os.path.exists(path):
+            with open_log(path) as fh:
+                for line_no, offset, data, problem in read_log(fh):
+                    if problem == "torn":
+                        os.truncate(path, offset)
+                    elif problem is not None:
+                        raise StoreError(f"{path} line {line_no} {problem}")
+                    else:
+                        self._offsets.setdefault(content_id(data), offset)
+        self._log = open_log(path, "a")
+        self._end = os.path.getsize(path)
 
     def put(self, data: bytes) -> ContentId:
         cid = content_id(data)
         if cid in self._offsets:
             return cid
+        line = _log_line(cid, data)
+        self._log.write(line)
         self._log.flush()
-        offset = os.path.getsize(self.path)
-        self._log.write(f"{cid.hex} {data.hex()}\n")
-        self._log.flush()
-        self._offsets[cid] = offset
-        with open(self.index_path, "a") as fh:
-            fh.write(f"{cid.hex} {offset}\n")
+        self._offsets[cid] = self._end
+        self._end += len(line)
         return cid
 
     def get(self, cid: ContentId) -> bytes:
         offset = self._offsets.get(cid)
         if offset is None:
             raise MissingRecord(cid.hex)
-        with open(self.path) as fh:
+        with open(self.path, "rb") as fh:
             fh.seek(offset)
-            line = fh.readline()
-        hex_id, hex_bytes = line.rstrip("\n").split(" ", 1)
-        if hex_id != cid.hex:
-            raise StoreError(f"index points at wrong record for {cid.hex}")
-        return bytes.fromhex(hex_bytes)
+            line = fh.readline().decode("ascii", "replace")
+        for _, _, data, problem in read_log([line]):
+            if problem is None and content_id(data) == cid:
+                return data
+        raise StoreError(f"{self.path} byte {offset} does not hold {cid.hex}")
 
     def has(self, cid: ContentId) -> bool:
         return cid in self._offsets

@@ -58,9 +58,9 @@ class TrieBranch:
 _NIBBLE_OF_HEX_DIGIT = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 
-def trie_key(bucket_id: ContentId, nibbles: int = KEY_NIBBLES) -> bytes:
-    """Truncated key: the first `nibbles` nibbles of the digest, one per byte."""
-    return bucket_id.hex[2 : 2 + nibbles].encode().translate(_NIBBLE_OF_HEX_DIGIT)
+def trie_key(bucket_id: ContentId) -> bytes:
+    """Truncated key: the first KEY_NIBBLES nibbles of the digest, one per byte."""
+    return bucket_id.hex[2 : 2 + KEY_NIBBLES].encode().translate(_NIBBLE_OF_HEX_DIGIT)
 
 
 def _node_bytes(node) -> bytes:
@@ -105,11 +105,10 @@ class Trie:
 
     root: ContentId
     store: Store
-    nibbles: int = KEY_NIBBLES
 
 
-def empty_trie(store: Store, nibbles: int = KEY_NIBBLES) -> Trie:
-    return Trie(NULL_ID, store, nibbles)
+def empty_trie(store: Store) -> Trie:
+    return Trie(NULL_ID, store)
 
 
 def _common_prefix(a: bytes, b: bytes) -> int:
@@ -172,9 +171,9 @@ def _insert(store: Store, node_id: ContentId, key: bytes, value_hash: ContentId,
 def insert(trie: Trie, bucket_id: ContentId, info: BucketInfo) -> Trie:
     """Persistent insert/update of a bucket's info; returns the new trie."""
     value_hash = trie.store.put_object(info)
-    key = trie_key(bucket_id, trie.nibbles)
+    key = trie_key(bucket_id)
     root = _insert(trie.store, trie.root, key, value_hash, bucket_id)
-    return Trie(root, trie.store, trie.nibbles)
+    return Trie(root, trie.store)
 
 
 def _walk(store: Store, root: ContentId, key: bytes):
@@ -201,7 +200,7 @@ def _walk(store: Store, root: ContentId, key: bytes):
 
 def get(trie: Trie, bucket_id: ContentId) -> BucketInfo | None:
     """Value stored for the bucket, or None when absent."""
-    key = trie_key(bucket_id, trie.nibbles)
+    key = trie_key(bucket_id)
     for _, node, remaining in _walk(trie.store, trie.root, key):
         if isinstance(node, TrieLeaf):
             if node.key_suffix == remaining and node.salt == bucket_id:
@@ -218,7 +217,7 @@ class TrieProof:
 
 
 def prove(trie: Trie, bucket_id: ContentId) -> TrieProof:
-    key = trie_key(bucket_id, trie.nibbles)
+    key = trie_key(bucket_id)
     nodes = [data for data, _, _ in _walk(trie.store, trie.root, key)]
     return TrieProof(tuple(nodes))
 
@@ -228,10 +227,9 @@ def verify_proof(
     bucket_id: ContentId,
     value: BucketInfo | None,
     proof: TrieProof,
-    nibbles: int = KEY_NIBBLES,
 ) -> bool:
     """Replay the proof against the root; True iff it supports the claim."""
-    key = trie_key(bucket_id, nibbles)
+    key = trie_key(bucket_id)
     if root == NULL_ID:
         return value is None and not proof.path
     expected = root

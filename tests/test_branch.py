@@ -393,6 +393,13 @@ def test_non_submit_in_history_is_a_verdict(store, alice):
     assert verdict.failures == [("history-integrity", f"{bucket.hex} is not a submit")]
 
 
+def test_undecodable_record_in_history_is_a_verdict(store):
+    garbage = store.put(b"\xff garbage")
+    head = _raw_submit(store, garbage, "on garbage")
+    verdict = verify_branch(_raw_branch(head, head), store)
+    assert verdict.failures == [("history-integrity", f"{garbage.hex} is not a submit")]
+
+
 def test_timestamp_regression_detected(state, alice):
     branch = create_genesis_branch(state, twig_config(), alice, tick(5))
     head = get_submit(state.store, branch.stable_head)

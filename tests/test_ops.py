@@ -47,7 +47,6 @@ def test_genesis_twig_defaults(state, alice):
     twig = create_genesis_branch(state, twig_config(), alice, tick(0))
     assert twig.parent_branch == NULL_ID
     assert get_submit(state.store, twig.stable_head).is_singularity()
-    assert state.requests_for(twig.branch_id).size("branch_creation_broadcast") == 1
 
 
 def test_multiple_genesis_branches_coexist(state, alice, bob):

@@ -175,6 +175,63 @@ def test_cli_verify_reports_malformed_store_log_line(tmp_path, capsys, garbage):
         assert f"p1: store.log line {line_no} malformed" in capsys.readouterr().err.splitlines()
 
 
+def _dump_minimal(tmp_path, capsys):
+    path = tmp_path / "minimal.json"
+    path.write_text(MINIMAL)
+    dump_dir = tmp_path / "dump"
+    assert cli_main(["run", str(path), "--dump", str(dump_dir)]) == 0
+    capsys.readouterr()
+    return dump_dir
+
+
+def test_cli_verify_reports_torn_store_log_tail(tmp_path, capsys):
+    dump_dir = _dump_minimal(tmp_path, capsys)
+    log_path = dump_dir / "p1" / "store.log"
+    text = log_path.read_text()
+    log_path.write_text(text[:-1])  # the last line loses its newline
+    assert cli_main(["verify", str(dump_dir)]) == 1
+    assert f"p1: store.log line {text.count(chr(10))} torn" in capsys.readouterr().err.splitlines()
+
+
+def _edit_json(name, edit):
+    def apply(peer_dir):
+        path = peer_dir / name
+        data = json.loads(path.read_text())
+        edit(data, peer_dir)
+        path.write_text(json.dumps(data))
+    return apply
+
+
+def _head_on_trie_root(headers, peer_dir):
+    roots = json.loads((peer_dir / "trie_roots.json").read_text())
+    for bid_hex, header in headers.items():
+        header["stable_head"] = roots[bid_hex]  # a record in the store that is not a submit
+
+
+@pytest.mark.parametrize("edit, line", [
+    (lambda d: (d / "headers.json").write_text("{not json"), "p1: headers.json is not a JSON object"),
+    (lambda d: (d / "headers.json").write_text("[]"), "p1: headers.json is not a JSON object"),
+    (lambda d: (d / "trie_roots.json").write_text("\xff"), "p1: trie_roots.json is not a JSON object"),
+    (lambda d: (d / "trie_roots.json").write_text('"roots"'), "p1: trie_roots.json is not a JSON object"),
+    (_edit_json("headers.json", lambda h, _: [e.pop("stable_head") for e in h.values()]),
+     "header unreadable: KeyError"),
+    (_edit_json("headers.json", lambda h, _: [e.update(stable_head="zz" * 33) for e in h.values()]),
+     "header unreadable: ValueError"),
+    (_edit_json("headers.json", lambda h, _: [e.update(stable_head="00") for e in h.values()]),
+     "header unreadable: CodecError"),
+    (_edit_json("headers.json", lambda h, _: [e.update(branch_token=5) for e in h.values()]),
+     "header unreadable: TypeError"),
+    (_edit_json("headers.json", _head_on_trie_root), "fails: ['history-integrity']"),
+], ids=["headers-not-json", "headers-list", "roots-not-utf8", "roots-string", "header-missing-key",
+        "header-bad-hex", "header-short-id", "header-wrong-type", "head-not-a-submit"])
+def test_cli_verify_reports_bad_dump_file_in_one_line(tmp_path, capsys, edit, line):
+    dump_dir = _dump_minimal(tmp_path, capsys)
+    edit(dump_dir / "p1")
+    assert cli_main(["verify", str(dump_dir)]) == 1
+    problems = capsys.readouterr().err.splitlines()
+    assert len(problems) == 1 and line in problems[0]
+
+
 def test_dump_and_verify_roundtrip(tmp_path, capsys):
     path = tmp_path / "minimal.json"
     path.write_text(MINIMAL)

@@ -214,9 +214,9 @@ def test_twig_fork_resolves_deterministically():
     assert heads == {max(first, second)}
 
 
-def test_header_with_a_non_submit_head_is_buffered():
+def test_header_that_can_never_resolve_is_dropped():
     """A header whose stable head names a bucket, bytes that decode to
-    nothing, or the null id waits as unresolvable instead of raising, for a
+    nothing, or the null id is dropped instead of raising or waiting, for a
     known branch and for an unknown one."""
     world = make_world(peers=("p1", "p2"))
     p2 = world.peers["p2"]
@@ -237,8 +237,26 @@ def test_header_with_a_non_submit_head_is_buffered():
             receive_gossip(world, p2, canonical_encode([b"gossip", branch_id, [header], [], [], records, [], []]))
             assert p2.state.branches[branch.branch_id].stable_head == held
             assert unknown not in p2.state.branches
-            assert p2.pending_headers[branch_id.hex + head.hex] == header
+            assert branch_id.hex + head.hex not in p2.pending_headers
     assert len(p2.state.contributors(branch.branch_id).all_keys()) == 1
+
+
+def test_header_waits_for_its_records_then_is_adopted():
+    world = make_world(peers=("p1", "p2"))
+    p1, p2 = world.peers["p1"], world.peers["p2"]
+    branch = create_on(world, "p1")
+    world.run_until_quiescent()
+    held = set(p2.state.store.ids())
+    head = push_on(world, "p1", branch.branch_id, p1.identity, b"late")
+    header = p1.state.branches[branch.branch_id].header_text()
+    key = branch.branch_id.hex + head.hex
+    receive_gossip(world, p2, canonical_encode([b"gossip", branch.branch_id, [header], [], [], [], [], []]))
+    assert p2.pending_headers == {key: header}
+    assert p2.state.branches[branch.branch_id].stable_head != head
+    missing = [p1.state.store.get(cid) for cid in p1.state.store.ids() if cid not in held]
+    receive_gossip(world, p2, canonical_encode([b"gossip", branch.branch_id, [], [], [], missing, [], []]))
+    assert not p2.pending_headers
+    assert p2.state.branches[branch.branch_id].stable_head == head
 
 
 # -- routing ----------------------------------------------------------------------
