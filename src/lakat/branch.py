@@ -7,8 +7,8 @@ reachable through belt-tip pointers in the submit trace, never by rebasing.
 
 from __future__ import annotations
 
-import itertools
 import json
+from collections.abc import Set
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -553,35 +553,69 @@ def _attestations(store: Store, node_id: ContentId, memo: dict) -> frozenset:
     return ids
 
 
-def collect_evidence(branch: Branch, store: Store, node_attestations: dict | None = None) -> set[ContentId]:
+class Evidence(Set):
+    """The ids a contribution proof may cite at one head of a branch: in
+    records, the submits root..head, the belt closures their merges reach
+    (walked: id -> submit) and the records all of these introduce.  Storage
+    and token attestations stay apart: a later trie or token list can drop one."""
+
+    __slots__ = ("head", "records", "walked", "attestations", "tokens")
+
+    def __init__(self, head, records, walked, attestations, tokens):
+        self.head, self.records, self.walked = head, records, walked
+        self.attestations, self.tokens = attestations, tokens
+
+    def __contains__(self, cid) -> bool:
+        return cid in self.records or cid in self.attestations or cid in self.tokens
+
+    def __iter__(self):
+        return iter(self.records | self.attestations | self.tokens)
+
+    def __len__(self) -> int:
+        return len(self.records | self.attestations | self.tokens)
+
+
+def collect_evidence(branch: Branch, store: Store, node_attestations: dict | None = None,
+                     held: Evidence | None = None) -> Evidence:
     """Every id a contribution proof may legitimately cite: the submits from
     root to head, the belt closures reachable from merge submits in that
     range, the records those submits introduce (buckets, commitments, review
     items, containers), plus storage and token attestations.
     node_attestations, when the caller keeps one, memoises the attestations
-    per trie node."""
-    history = _history(branch, store)
-    tips = [s.submit_trace.belt_tip for _, s in history if s.submit_trace.belt_tip is not None]
-    evidence: set[ContentId] = set()
-    for cid, submit in itertools.chain(history, closure(store, tips).items()):
-        evidence.add(cid)
+    per trie node.  held, an earlier result for the branch, is extended in
+    place when the head descends from its head without passing the initial
+    head; any other move rebuilds."""
+    head = branch.stable_head
+    suffix = None
+    if held is not None and head != NULL_ID and held.head != NULL_ID:
+        suffix = list(ancestry(store, head, (held.head,)))
+        if suffix and (suffix[-1][1].parent != held.head
+                       or any(cid == branch.initial_head for cid, _ in suffix)):
+            suffix = None
+    if suffix is None:
+        records, walked, suffix = set(), {}, _history(branch, store)
+    else:
+        records, walked = held.records, held.walked
+    tips = [s.submit_trace.belt_tip for _, s in suffix if s.submit_trace.belt_tip is not None]
+    for cid, submit in suffix + [(cid, walked[cid]) for cid in _walk_closure(store, tips, walked)]:
         trace = submit.submit_trace
-        evidence.update(trace.new_buckets)
-        evidence.update(trace.reviews_trace)
-        for pr in trace.pull_requests:
-            evidence.add(pr.review_container)
-    if history:
+        records.add(cid)
+        records.update(trace.new_buckets)
+        records.update(trace.reviews_trace)
+        records.update(pr.review_container for pr in trace.pull_requests)
+    attestations = _NO_IDS
+    if head != NULL_ID:
         memo = node_attestations if node_attestations is not None else {}
-        evidence |= _attestations(store, history[0][1].trie_root, memo)
-    evidence.update(content_id(token) for token in branch.branch_token)
-    return evidence
+        attestations = _attestations(store, get_submit(store, head).trie_root, memo)
+    tokens = frozenset(content_id(token) for token in branch.branch_token)
+    return Evidence(head, records, walked, attestations, tokens)
 
 
 def derive_contributors(
     branch: Branch,
     proofs: list[ContributionProof],
     store: Store,
-    evidence: set | None = None,
+    evidence: Evidence | None = None,
 ) -> ContributorSet:
     """Partition valid proofs by kind, dropping invalid signatures, foreign
     branches, disallowed kinds, and evidence outside root..head.
@@ -590,7 +624,7 @@ def derive_contributors(
     repeating the work; signatures are checked through the process-wide
     signature cache of ``identity.verify_signature``.
     """
-    result = ContributorSet()
+    result, seen = ContributorSet(), set()  # seen: a hashed ContributorSet.add
     if evidence is None:
         evidence = collect_evidence(branch, store)
     for proof in proofs:
@@ -600,11 +634,10 @@ def derive_contributors(
             continue
         if proof.kind not in branch.config.accepted_proofs:
             continue
-        if not proof.verify():
+        if proof.evidence not in evidence or proof in seen or not proof.verify():
             continue
-        if proof.evidence not in evidence:
-            continue
-        result.add(proof.kind, proof.contributor, proof)
+        seen.add(proof)
+        result.kind(proof.kind).setdefault(proof.contributor, []).append(proof)
     return result
 
 

@@ -62,9 +62,14 @@ class ContentId(bytes):
 
     @classmethod
     def from_hex(cls, text: str) -> "ContentId":
+        """The id whose hex form is text; ValueError for a non-hex character,
+        CodecError for a wrong length."""
         if len(text) != 2 + 2 * DIGEST_LEN:
             raise CodecError(f"content id hex must be {2 + 2 * DIGEST_LEN} chars")
-        return cls(int(text[:2], 16), bytes.fromhex(text[2:]))
+        data = bytes.fromhex(text)
+        if len(data) != 1 + DIGEST_LEN:  # fromhex skips whitespace between digit pairs
+            raise CodecError(f"content id hex must be {2 + 2 * DIGEST_LEN} hex digits")
+        return bytes.__new__(cls, data)
 
     def is_null(self) -> bool:
         return self == NULL_ID

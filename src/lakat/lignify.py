@@ -155,6 +155,7 @@ def wrap_merge_in_sprout(
     state.add_branch(sprout)
     rooting.sprout_selection.append(SelectionEntry(branch_id))
     core.sprouts.add(branch_id)
+    state.touch(rooted_at, core.branch_id)
     wrap = SproutWrap(branch_id, merge_submit, rooted_at, creator, now.tick, requesting_branch)
     state.store.put_object(wrap)
     state.wraps[branch_id] = wrap
@@ -241,6 +242,7 @@ def register_veto(state: ProtocolState, core_id: ContentId, veto: Veto, now: Log
     if veto not in entry.vetoes:
         idx = owner.sprout_selection.index(entry)
         owner.sprout_selection[idx] = SelectionEntry(entry.sprout, entry.vetoes + (veto,), entry.votes)
+        state.touch(owner.branch_id)
     return OK
 
 
@@ -267,6 +269,7 @@ def cast_vote(state: ProtocolState, core_id: ContentId, vote: Vote, now: Logical
     if vote not in entry.votes:
         idx = owner.sprout_selection.index(entry)
         owner.sprout_selection[idx] = SelectionEntry(entry.sprout, entry.vetoes, entry.votes + (vote,))
+        state.touch(owner.branch_id)
     return OK
 
 
@@ -301,6 +304,7 @@ def convert_sprout(state: ProtocolState, sprout_id: ContentId, reference_id: Con
     sprout.parent_branch = reference_id
     sprout.config = replace(sprout.config, branch_type=PROPER)
     sprout.branch_token = []
+    state.touch(sprout_id)
     owner = None
     for branch in state.branches.values():
         entry = branch.selection_entry(sprout_id)
@@ -309,6 +313,7 @@ def convert_sprout(state: ProtocolState, sprout_id: ContentId, reference_id: Con
             break
     if owner is not None:
         owner.sprout_selection = [e for e in owner.sprout_selection if e.sprout != sprout_id]
+        state.touch(owner.branch_id)
     state.ousted.pop(sprout_id, None)
     return sprout
 
@@ -344,6 +349,7 @@ def recompute_sprouts(state: ProtocolState, branch: Branch):
         reached.add(entry.sprout)
         frontier.extend(child.sprout_selection)
     branch.sprouts = reached
+    state.touch(branch.branch_id)
 
 
 def lignify(
@@ -443,4 +449,5 @@ def _donate(state: ProtocolState, reference: Branch, holder: Branch, child: Bran
     reference.stable_head = child.stable_head
     reference.sprout_selection = list(child.sprout_selection)
     child.sprout_selection = []
+    state.touch(reference.branch_id, child.branch_id)
     state.spent.add(child.branch_id)

@@ -255,6 +255,7 @@ def execute_merge(
         state.add_proof(make_contribution_proof(author, plan.core, "content", cid))
     if belt.config.stale_after_merge:
         mark_stale(belt)
+        state.touch(plan.belt)
     return merge_submit
 
 
@@ -279,10 +280,11 @@ def apply_config_change(
     if branch.config.branch_type == PROPER and new_config.branch_type != PROPER:
         raise BranchOpError("proper branches cannot change their branch type")
     branch.config = new_config
+    state.touch(branch_id)
     return branch
 
 
-def bucket_set(state: ProtocolState, branch_id: ContentId) -> set[ContentId]:
+def bucket_set(state: ProtocolState, branch_id: ContentId) -> frozenset[ContentId]:
     """All bucket ids in the branch's current data state."""
     branch = state.branches[branch_id]
     head = get_submit(state.store, branch.stable_head)

@@ -180,18 +180,21 @@ class World:
         self.log(self.tick, SCENARIO_ACTION, peer_name, peer_name, summary)
 
     def flush_gossip(self, peer_name: str):
-        """Broadcast every branch whose header changed since the last flush."""
+        """Broadcast every branch whose header changed since the last flush:
+        only touched branches can have, so only their fingerprints are
+        compared, in id order.  An offline peer keeps its marks."""
         peer = self.peers[peer_name]
         if not peer.online:
             return
-        dirty = []
-        for branch_id in sorted(peer.state.branches):
-            print_ = peer.state.branches[branch_id].fingerprint()
-            if peer.last_gossiped.get(branch_id) != print_:
-                dirty.append(branch_id)
-        for branch_id in dirty:
-            peer.last_gossiped[branch_id] = peer.state.branches[branch_id].fingerprint()
-            head = peer.state.branches[branch_id].stable_head.hex[:10]
+        touched = sorted(peer.state.touched)
+        peer.state.touched.clear()
+        for branch_id in touched:
+            branch = peer.state.branches[branch_id]
+            print_ = branch.fingerprint()
+            if peer.last_gossiped.get(branch_id) == print_:
+                continue
+            peer.last_gossiped[branch_id] = print_
+            head = branch.stable_head.hex[:10]
             for other in self.peers.values():
                 if other.name == peer.name or not other.online:
                     continue
@@ -370,7 +373,10 @@ def adopt_header(state: ProtocolState, header_text: str) -> tuple[bool, bool]:
         stale = local_chain[-1][1].parent == remote.stable_head
         if not stale and (len(remote_chain), remote.stable_head) > (len(local_chain), local.stable_head):
             _adopt_fields(local, remote)
-    return local.fingerprint() != before, False
+    changed = local.fingerprint() != before
+    if changed:
+        state.touch(local.branch_id)
+    return changed, False
 
 
 def _adopt_fields(local: Branch, remote: Branch):

@@ -31,7 +31,6 @@ from .branch import (
     collect_evidence,
     derive_contributors,
     get_submit,
-    included_submits,
 )
 from .requests import BranchRequests
 from .store import MemoryStore, MissingRecord, Store
@@ -64,9 +63,12 @@ class ProtocolState:
         self.ousted: dict[ContentId, ContentId] = {}  # sprout id -> reference branch
         self.spent: set[ContentId] = set()  # sprouts absorbed by donation
         self.requests: dict[ContentId, BranchRequests] = {}
-        # memos of contributors(); every entry is a function of its key
-        self._direct: dict[ContentId, tuple] = {}  # branch -> (key, direct set, evidence set)
-        self._merges: dict[ContentId, tuple[tuple, frozenset]] = {}  # head -> (belts, PR pairs)
+        self.touched: set[ContentId] = set()  # branches changed since the last gossip flush
+        # derived state of contributors(); every entry is a function of its key
+        self._direct: dict[ContentId, tuple] = {}  # branch -> (key, direct set, evidence)
+        self._merges: dict[ContentId, tuple[tuple, frozenset]] = {NULL_ID: ((), frozenset())}
+        self._requesters: dict[ContentId, set] = {}  # target -> belts asking it, see _asking
+        self._indexed: dict[ContentId, ContentId] = {}  # belt -> head its requests were indexed at
         self._node_attestations: dict[ContentId, frozenset] = {}  # trie node -> attestation ids
 
     # -- registration ------------------------------------------------------
@@ -74,6 +76,12 @@ class ProtocolState:
     def add_branch(self, branch: Branch):
         self.branches[branch.branch_id] = branch
         self.requests.setdefault(branch.branch_id, BranchRequests())
+        self.touch(branch.branch_id)
+
+    def touch(self, *branch_ids: ContentId):
+        """Mark branches whose headers may have changed; the next gossip flush
+        compares their fingerprints.  Every mutation of a Branch calls this."""
+        self.touched.update(branch_ids)
 
     def requests_for(self, branch_id: ContentId) -> BranchRequests:
         return self.requests.setdefault(branch_id, BranchRequests())
@@ -97,14 +105,12 @@ class ProtocolState:
         set is the branch's verified proofs whose evidence lies in root..head
         (derive_contributors), plus the wrap creator as a content key.
 
-        Memos: the direct set per branch, keyed on (stable head, token list,
-        accepted proof kinds, proof-list length), held with the branch's
-        evidence set, which a new proof reuses while head and tokens stay;
-        the merged belts and pull-request pairs per head; the
-        storage-attestation ids per trie node.  The result is a fresh set
-        the caller may change.
-        """
-        branches, merges, merge_index = self.branches, self._merges, self._merge_index
+        Derived state follows what changed: the direct set per branch, keyed
+        on (stable head, token list, accepted proof kinds, proof count); the
+        evidence per branch, extended while its head descends; the merge
+        index per head; the belts asking each target; the attestation ids per
+        trie node.  The result is a fresh set the caller may change."""
+        branches, asking = self.branches, None
         result = ContributorSet()
         visited = set()
         stack = [branch_id]
@@ -120,58 +126,83 @@ class ProtocolState:
             if wrap is not None:
                 result.add("content", wrap.creator)
                 reached.append(wrap.requesting_branch)
-            # the hot loop of the walk: one pair lookup per merge in the closure
-            for belt_id in (merges.get(branch.stable_head) or merge_index(branch.stable_head))[0]:
-                belt = branches.get(belt_id)
-                if belt is not None:
-                    pairs = (merges.get(belt.stable_head) or merge_index(belt.stable_head))[1]
-                    if (current, belt_id) in pairs:
-                        reached.append(belt_id)
+            belts = self._merge_index(branch.stable_head)[0]
+            if belts:
+                asking = self._asking() if asking is None else asking
+                requesting = asking.get(current)
+                if requesting:
+                    reached.extend(b for b in belts if b in requesting)
             stack.extend(reversed(reached))
         return result
 
     def _direct_set(self, branch: Branch) -> ContributorSet:
-        proofs = self.proofs.get(branch.branch_id, ())
+        branch_id = branch.branch_id
+        proofs = self.proofs.get(branch_id, ())
         key = (branch.stable_head, tuple(branch.branch_token), branch.config.accepted_proofs, len(proofs))
-        held = self._direct.get(branch.branch_id)
+        held = self._direct.get(branch_id)
         if held is not None and held[0] == key:
             return held[1]
-        # the evidence is a function of (head, tokens): a new proof reuses it
-        if held is not None and held[0][:2] == key[:2]:
-            evidence = held[2]
-        else:
-            evidence = collect_evidence(branch, self.store, self._node_attestations)
+        evidence = collect_evidence(branch, self.store, self._node_attestations, held and held[2])
         direct = derive_contributors(branch, proofs, self.store, evidence=evidence)
-        self._direct[branch.branch_id] = (key, direct, evidence)
+        self._direct[branch_id] = (key, direct, evidence)
         return direct
 
+    def _asking(self) -> dict[ContentId, set]:
+        """target -> belts whose current head's closure carries a pull request
+        from the belt to the target; a belt whose head moved is re-indexed
+        from the difference of the two heads' pull-request pairs."""
+        index, indexed = self._requesters, self._indexed
+        for belt_id, branch in self.branches.items():
+            old, new = indexed.get(belt_id, NULL_ID), branch.stable_head
+            if old == new:
+                continue
+            old_pairs, new_pairs = self._merge_index(old)[1], self._merge_index(new)[1]
+            indexed[belt_id] = new
+            if old_pairs is new_pairs:  # a submit without pull requests shares its parent's
+                continue
+            for target, requesting in old_pairs - new_pairs:
+                if requesting == belt_id:
+                    index[target].discard(belt_id)
+            for target, requesting in new_pairs - old_pairs:
+                if requesting == belt_id:
+                    index.setdefault(target, set()).add(belt_id)
+        return index
+
     def _merge_index(self, head: ContentId) -> tuple[tuple, frozenset]:
-        """Belts merged in the closure of head, in closure order, and the
-        (target, requesting) pairs of its pull-request traces.  A closure never
-        changes, and a submit without a belt tip only puts itself in front of
-        its parent's closure, so such a head extends its parent's entry."""
-        index = self._merges.get(head)
-        if index is not None:
-            return index
-        if head == NULL_ID:
-            return (), frozenset()
-        submit = get_submit(self.store, head)
-        trace = submit.submit_trace
-        parent = self._merges.get(submit.parent)
-        if trace.belt_tip is None and (parent is not None or submit.parent == NULL_ID):
-            belts, pairs = parent if parent is not None else ((), frozenset())
+        """Belts merged in the closure of head, each once in the order of its
+        first merge, and the (target, requesting) pairs of its pull requests.
+        A closure is the submit, its parent's closure, then what the parent's
+        lacks of its belt tip's closure (branch._walk_closure), so an entry
+        joins the parent's and tip's entries.  Filled bottom-up with a stack:
+        parent chains run thousands deep."""
+        merges, store = self._merges, self.store
+        if head in merges:
+            return merges[head]
+        stack = [head]
+        while stack:
+            cid = stack[-1]
+            if cid in merges:
+                stack.pop()
+                continue
+            submit = get_submit(store, cid)
+            trace, tip = submit.submit_trace, submit.submit_trace.belt_tip
+            missing = [x for x in (submit.parent, tip) if x is not None and x not in merges]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            belts, pairs = merges[submit.parent]
+            if tip is not None:
+                tip_belts, tip_pairs = merges[tip]
+                held = set(belts)
+                belts = belts + tuple(b for b in tip_belts if b not in held)
+                pairs = pairs | tip_pairs
             if trace.merged_branch is not None:
-                belts = (trace.merged_branch,) + belts
+                belts = (trace.merged_branch,) + tuple(b for b in belts if b != trace.merged_branch)
             if trace.pull_requests:
                 pairs = pairs | {(pr.target_branch, pr.requesting_branch) for pr in trace.pull_requests}
-        else:
-            included = included_submits(self.store, head).values()
-            belts = tuple(s.submit_trace.merged_branch for s in included
-                          if s.submit_trace.merged_branch is not None)
-            pairs = frozenset((pr.target_branch, pr.requesting_branch)
-                              for s in included for pr in s.submit_trace.pull_requests)
-        index = self._merges[head] = (belts, pairs)
-        return index
+            merges[cid] = (belts, pairs)
+        return merges[head]
 
     # -- submit appending --------------------------------------------------
 
@@ -208,6 +239,7 @@ class ProtocolState:
             return Verdict.fail("context-membership"), None
         cid = self.store.put_object(submit)
         branch.stable_head = cid
+        self.touch(branch_id)
         return OK, cid
 
 

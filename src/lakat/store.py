@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 
-from .codec import ContentId, canonical_decode, canonical_encode, content_id, is_protocol_struct
+from .codec import NULL_ID, ContentId, canonical_decode, canonical_encode, content_id, is_protocol_struct
 
 
 class StoreError(Exception):
@@ -28,6 +28,8 @@ class Store:
     def __init__(self):
         self._decoded: dict[ContentId, object] = {}
         self.node_cache: dict[ContentId, object] = {}  # decoded trie nodes, see trie.load_node
+        # (root, its bucket ids) of the trie listed last, see trie.bucket_ids
+        self.last_listing: tuple[ContentId, frozenset] = (NULL_ID, frozenset())
 
     def put_object(self, value) -> ContentId:
         return self.put(canonical_encode(value))

@@ -9,9 +9,9 @@ import random
 
 from lakat.branch import ancestry
 from lakat.identity import make_contribution_proof
-from lakat.lignify import lignify, wrap_merge_in_sprout
-from lakat.ops import create_genesis_branch, create_rooted_branch, execute_merge, plan_merge
-from lakat.review import commit_review, create_pull_request, submit_review, twig_push
+from lakat.lignify import LignificationError, lignify, wrap_merge_in_sprout
+from lakat.ops import BranchOpError, create_genesis_branch, create_rooted_branch, execute_merge, plan_merge
+from lakat.review import AuthorizationError, commit_review, create_pull_request, submit_review, twig_push
 from lakat.sim import SimConfig, World
 from lakat.state import build_content_submit
 from lakat.branch import AcceptanceRule, BranchConfig, Rational
@@ -43,7 +43,7 @@ class FuzzRun:
             identity = self.world.peers[peer].identity
             self.actors[name] = (identity, peer)
         self.core_id = None
-        self.prefixes = {}  # (peer, branch hex) -> [submit ids root..head]
+        self.heads = {}  # (peer, branch hex) -> head of a proper branch at the last check
         self.violations = []
         self.twig_counter = 0
         self.active_cycle = None  # (twig_id, author_name, stage)
@@ -171,27 +171,31 @@ class FuzzRun:
                 self._flush("alice")
                 self.active_cycle = None
                 self.world.run_until(self.world.tick + self.rng.randint(2, 8))
-        except Exception:
+        except (BranchOpError, LignificationError, AuthorizationError):
             # invalid move under current state; drop the cycle and continue
             self.active_cycle = None
             self.world.run_until(self.world.tick + 2)
 
     def _check_prefixes(self):
+        """A proper branch's head must descend from its head at the last
+        check.  Only the new suffix is walked: the walk stops at the old
+        head, and one that ends at the singularity instead found a rewritten
+        or shortened prefix."""
         for name, peer in self.world.peers.items():
             for branch_id, branch in peer.state.branches.items():
                 if branch.branch_type != "proper":
                     continue
                 key = (name, branch_id.hex)
-                previous = self.prefixes.get(key)
-                if previous is not None and previous[-1] == branch.stable_head:
+                previous = self.heads.get(key)
+                if previous == branch.stable_head:
                     continue  # head unchanged since the last check
-                try:
-                    chain = [cid for cid, _ in ancestry(peer.state.store, branch.stable_head)][::-1]
-                except Exception:
-                    continue
-                if previous is not None and chain[: len(previous)] != previous:
-                    self.violations.append(key)
-                self.prefixes[key] = chain
+                if previous is not None:
+                    bottom = branch.stable_head
+                    for _, submit in ancestry(peer.state.store, branch.stable_head, (previous,)):
+                        bottom = submit.parent
+                    if bottom != previous:
+                        self.violations.append(key)
+                self.heads[key] = branch.stable_head
 
     def run(self, min_events: int):
         self.setup()

@@ -153,6 +153,20 @@ def test_content_id_text_form():
     assert f"{NULL_ID}" == "ContentId(0000000000..)"
 
 
+@pytest.mark.parametrize("text, error", [
+    (" 1" + "00" * 32, ValueError),  # int() read this as tag 01
+    ("+1" + "00" * 32, ValueError),  # and this one too
+    ("0g" + "00" * 32, ValueError),
+    ("01" + "00" * 31 + "  ", CodecError),  # fromhex skips the spaces: 32 bytes
+    ("01 " + "00" * 31 + " ", CodecError),
+    ("01" + "00" * 31, CodecError),
+    ("01" + "00" * 33, CodecError),
+])
+def test_content_id_from_hex_takes_only_its_own_text_form(text, error):
+    with pytest.raises(error):
+        ContentId.from_hex(text)
+
+
 def test_content_id_encoding_and_raw_bytes():
     cid = content_id(b"x")
     assert canonical_encode(cid) == b"\x05\x01" + hashlib.sha256(b"x").digest()

@@ -1,0 +1,49 @@
+"""The fuzz driver's prefix check walks only the new suffix of each proper
+branch; it must still flag a head that does not descend from the last one."""
+
+from lakat.branch import Submit, SubmitTrace, get_submit
+
+from conftest import tick
+from fuzz_driver import FuzzRun
+
+
+def _moved_run():
+    run = FuzzRun(4)
+    run.setup()
+    while len(run.world.transcript) < 600:
+        run.step()
+    assert run.violations == []
+    return run
+
+
+def test_prefix_check_accepts_a_descending_head():
+    run = _moved_run()
+    state = run.world.peers["p1"].state
+    core = state.branches[run.core_id]
+    head = get_submit(state.store, core.stable_head)
+    core.stable_head = state.store.put_object(Submit(core.stable_head, "next", head.trie_root,
+                                                     SubmitTrace(), tick(head.timestamp.tick + 1)))
+    run._check_prefixes()
+    assert run.violations == []
+
+
+def test_prefix_check_flags_a_rewritten_prefix():
+    run = _moved_run()
+    state = run.world.peers["p1"].state
+    core = state.branches[run.core_id]
+    assert core.stable_head != core.initial_head
+    initial = get_submit(state.store, core.initial_head)
+    # a sibling chain off the initial head: the old head is not below it
+    core.stable_head = state.store.put_object(Submit(core.initial_head, "rewrite", initial.trie_root,
+                                                     SubmitTrace(), tick(1)))
+    run._check_prefixes()
+    assert run.violations == [("p1", run.core_id.hex)]
+
+
+def test_prefix_check_flags_a_head_moved_back():
+    run = _moved_run()
+    state = run.world.peers["p1"].state
+    core = state.branches[run.core_id]
+    core.stable_head = get_submit(state.store, core.stable_head).parent
+    run._check_prefixes()
+    assert run.violations == [("p1", run.core_id.hex)]

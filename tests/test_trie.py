@@ -230,6 +230,11 @@ def _shared_prefix_ids(draw, max_size=24):
             for index, prefix in enumerate(prefixes)]
 
 
+def _walked(trie) -> set:
+    """Bucket ids by a full walk of the trie, apart from bucket_ids."""
+    return {salt for salt, _ in items(trie)}
+
+
 def _build(trie, ids, version):
     for cid in ids:
         trie = insert(trie, cid, _info(version + cid[16]))
@@ -250,7 +255,23 @@ def test_added_ids_equals_set_difference(ids, data):
     empty = empty_trie(store)
     for a in (old, grown, other, empty):
         for b in (old, grown, other, empty):
-            assert added_ids(store, a.root, b.root) == bucket_ids(b) - bucket_ids(a)
+            assert added_ids(store, a.root, b.root) == _walked(b) - _walked(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ids=_shared_prefix_ids(), data=st.data())
+def test_bucket_ids_lists_from_the_last_listing(ids, data):
+    """bucket_ids diffs against the store's last listing; a run of listings
+    of related and unrelated roots must each equal a fresh walk."""
+    store = MemoryStore()
+    draw_ids = lambda: data.draw(st.lists(st.sampled_from(ids), unique=True) if ids else st.just([]))  # noqa: E731
+    old = _build(empty_trie(store), draw_ids(), 0)
+    grown = _build(old, draw_ids(), 1)
+    other = _build(empty_trie(store), draw_ids(), 2)  # no shared history
+    tries = [old, grown, other, empty_trie(store)]
+    for index in data.draw(st.lists(st.integers(0, len(tries) - 1), min_size=1, max_size=12)):
+        assert bucket_ids(tries[index]) == _walked(tries[index])
+        assert store.last_listing[0] == tries[index].root
 
 
 def test_added_ids_skips_info_updates_and_finds_split_extensions(store):
