@@ -603,10 +603,8 @@ def collect_evidence(branch: Branch, store: Store, node_attestations: dict | Non
         records.update(trace.new_buckets)
         records.update(trace.reviews_trace)
         records.update(pr.review_container for pr in trace.pull_requests)
-    attestations = _NO_IDS
-    if head != NULL_ID:
-        memo = node_attestations if node_attestations is not None else {}
-        attestations = _attestations(store, get_submit(store, head).trie_root, memo)
+    memo = node_attestations if node_attestations is not None else {}
+    attestations = _attestations(store, get_submit(store, head).trie_root, memo) if head != NULL_ID else _NO_IDS
     tokens = frozenset(content_id(token) for token in branch.branch_token)
     return Evidence(head, records, walked, attestations, tokens)
 

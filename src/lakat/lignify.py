@@ -305,15 +305,11 @@ def convert_sprout(state: ProtocolState, sprout_id: ContentId, reference_id: Con
     sprout.config = replace(sprout.config, branch_type=PROPER)
     sprout.branch_token = []
     state.touch(sprout_id)
-    owner = None
-    for branch in state.branches.values():
-        entry = branch.selection_entry(sprout_id)
-        if entry is not None:
-            owner = branch
+    for owner in state.branches.values():
+        if owner.selection_entry(sprout_id) is not None:
+            owner.sprout_selection = [e for e in owner.sprout_selection if e.sprout != sprout_id]
+            state.touch(owner.branch_id)
             break
-    if owner is not None:
-        owner.sprout_selection = [e for e in owner.sprout_selection if e.sprout != sprout_id]
-        state.touch(owner.branch_id)
     state.ousted.pop(sprout_id, None)
     return sprout
 

@@ -254,14 +254,13 @@ def execute_merge(
         cid = store.put_object(merge_submit)
         state.add_proof(make_contribution_proof(author, plan.core, "content", cid))
     if belt.config.stale_after_merge:
-        mark_stale(belt)
-        state.touch(plan.belt)
+        mark_stale(state, plan.belt)
     return merge_submit
 
 
-def mark_stale(branch: Branch) -> Branch:
-    branch.stale = True
-    return branch
+def mark_stale(state: ProtocolState, branch_id: ContentId):
+    state.branches[branch_id].stale = True
+    state.touch(branch_id)
 
 
 def apply_config_change(

@@ -293,18 +293,27 @@ def items(trie: Trie) -> list[tuple[ContentId, ContentId]]:
 
 
 def bucket_ids(trie: Trie) -> frozenset[ContentId]:
-    """Every bucket id in the trie (the leaf salts), unordered.
-
-    Listed from the store's last listing (root, ids) as (ids - added_ids(new,
-    root)) | added_ids(root, new), which is exact by the added_ids property
-    and walks only where the two tries differ; the first listing in a store
-    diffs against the empty trie."""
-    store, new = trie.store, trie.root
-    root, ids = store.last_listing
-    if new != root:
-        ids = (ids - added_ids(store, new, root)) | added_ids(store, root, new)
-        store.last_listing = (new, ids)
-    return ids
+    """Every bucket id in the trie (the leaf salts), unordered.  The store
+    keeps the last listing (root, ids): listing that root again walks nothing."""
+    store, cache = trie.store, trie.store.node_cache
+    if store.last_listing[0] == trie.root:
+        return store.last_listing[1]
+    found = set()
+    add = found.add
+    stack = [] if trie.root == NULL_ID else [trie.root]
+    pop, push, extend = stack.pop, stack.append, stack.extend
+    while stack:
+        cid = pop()
+        node = cache.get(cid) or load_node(store, cid)
+        kind = type(node)
+        if kind is TrieLeaf:
+            add(node.salt)
+        elif kind is TrieExtension:
+            push(node.child)
+        else:
+            extend(filter(None, node.children))
+    store.last_listing = (trie.root, frozenset(found))
+    return store.last_listing[1]
 
 
 def _fanout(node) -> tuple:

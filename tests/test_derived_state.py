@@ -2,6 +2,7 @@
 the touched-branch marks behind gossip flushes, the merge index built from
 parent and belt-tip entries, and the contributor walk late in a history."""
 
+import collections
 import os
 
 import pytest
@@ -15,7 +16,9 @@ from lakat.scenario import Runner, parse_scenario
 from lakat.sim import World
 from lakat.state import ProtocolState
 from lakat.store import MemoryStore
+from lakat import lignify as lignify_mod, ops as ops_mod, scenario as scenario_mod
 
+import fuzz_driver
 from conftest import tick, twig_config
 from fuzz_driver import FuzzRun
 from test_contributors import _push, assert_matches_reference
@@ -49,17 +52,54 @@ def checked_flushes(monkeypatch):
     return checked
 
 
-def test_every_flush_gossips_every_changed_branch_through_a_fuzz_run(checked_flushes):
+# mutators whose marks a later mark in the same lignify call or merge can hide
+MUTATORS = ("_donate", "recompute_sprouts", "convert_sprout", "register_veto", "cast_vote",
+            "wrap_merge_in_sprout", "mark_stale", "apply_config_change")
+
+
+@pytest.fixture
+def checked_marks(monkeypatch):
+    """Check each call of a mutator on its own: it runs with an empty touched
+    set, and every branch whose header it changed or added must be marked
+    when it returns.  Yields name -> number of calls that changed a header."""
+    changed_by = collections.Counter()
+
+    def checking(name, mutate):
+        def call(state, *args, **kwargs):
+            before = {branch_id: branch.fingerprint() for branch_id, branch in state.branches.items()}
+            outer, state.touched = state.touched, set()
+            try:
+                result = mutate(state, *args, **kwargs)
+            finally:
+                own, state.touched = state.touched, outer
+                outer.update(own)
+            changed = {branch_id for branch_id, branch in state.branches.items()
+                       if before.get(branch_id) != branch.fingerprint()}
+            assert changed <= own, f"{name} left {[b.hex[:10] for b in changed - own]} unmarked"
+            changed_by[name] += bool(changed)
+            return result
+        return call
+
+    originals = {name: getattr(lignify_mod, name, None) or getattr(ops_mod, name) for name in MUTATORS}
+    for module in (lignify_mod, ops_mod, scenario_mod, fuzz_driver):
+        for name, mutate in originals.items():
+            if getattr(module, name, None) is mutate:
+                monkeypatch.setattr(module, name, checking(name, mutate))
+    return changed_by
+
+
+def test_every_flush_gossips_every_changed_branch_through_a_fuzz_run(checked_flushes, checked_marks):
     run = FuzzRun(5).run(2000)
     assert run.violations == []
     assert _merges(run) >= 10 and len(checked_flushes) > 500
+    assert all(checked_marks[name] for name in ("_donate", "recompute_sprouts", "convert_sprout")), checked_marks
 
 
 @pytest.mark.parametrize("name", ["fig5a.json", "fig5b.json"])
-def test_every_flush_gossips_every_changed_branch_through_a_scenario(checked_flushes, name):
+def test_every_flush_gossips_every_changed_branch_through_a_scenario(checked_flushes, checked_marks, name):
     with open(os.path.join(SCENARIO_DIR, name)) as fh:
         report = Runner(parse_scenario(fh.read())).run()
-    assert report.ok and checked_flushes
+    assert report.ok and checked_flushes and checked_marks
 
 
 def test_evidence_extends_only_a_descent_above_the_initial_head():

@@ -251,7 +251,7 @@ def test_belt_failing_validation_rejected(state, alice, bob):
 
 def test_stale_twig_rejects_push(state, alice):
     twig = create_genesis_branch(state, twig_config(), alice, tick(0))
-    mark_stale(state.branches[twig.branch_id])
+    mark_stale(state, twig.branch_id)
     submit = build_content_submit(state, twig, alice, "late", tick(1), [b"x"])
     verdict, _ = twig_push(state, twig.branch_id, submit, alice.public_key)
     assert not verdict.ok
@@ -272,7 +272,7 @@ def test_staleness_follows_belt_config(state, alice, bob):
 def test_stale_branch_still_readable(state, alice):
     twig = create_genesis_branch(state, twig_config(), alice, tick(0))
     cid = _push(state, twig, alice, b"data", 1)
-    mark_stale(state.branches[twig.branch_id])
+    mark_stale(state, twig.branch_id)
     assert cid in submit_set(state, twig.branch_id)
     assert bucket_set(state, twig.branch_id)
 

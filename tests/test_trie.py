@@ -260,9 +260,10 @@ def test_added_ids_equals_set_difference(ids, data):
 
 @settings(max_examples=200, deadline=None)
 @given(ids=_shared_prefix_ids(), data=st.data())
-def test_bucket_ids_lists_from_the_last_listing(ids, data):
-    """bucket_ids diffs against the store's last listing; a run of listings
-    of related and unrelated roots must each equal a fresh walk."""
+def test_bucket_ids_keeps_the_last_listing(ids, data):
+    """bucket_ids returns the store's last listing for the same root and
+    walks any other; a run of listings of related and unrelated roots, with
+    repeats, must each equal a fresh walk."""
     store = MemoryStore()
     draw_ids = lambda: data.draw(st.lists(st.sampled_from(ids), unique=True) if ids else st.just([]))  # noqa: E731
     old = _build(empty_trie(store), draw_ids(), 0)
