@@ -255,7 +255,7 @@ def test_added_ids_equals_set_difference(ids, data):
     empty = empty_trie(store)
     for a in (old, grown, other, empty):
         for b in (old, grown, other, empty):
-            assert added_ids(store, a.root, b.root) == _walked(b) - _walked(a)
+            assert added_ids(store, a.root, b.root) == bucket_ids(b) - bucket_ids(a)
 
 
 @settings(max_examples=200, deadline=None)
