@@ -23,7 +23,7 @@ from .codec import (
     protocol_struct,
 )
 from .identity import CONTRIBUTION_KINDS, ContributionProof
-from .bucket import Bucket, check_context_membership
+from .bucket import check_new_buckets
 from .store import MissingRecord, Store
 from . import trie as trie_mod
 
@@ -717,26 +717,10 @@ class Verifier:
         for child, parent in zip(submits, submits[1:]):
             if child.timestamp.tick < parent.timestamp.tick:
                 verdict.fail("timestamp-regression", submit_id(child).hex)
-        for submit in walked.values():
-            new_ids = set(submit.submit_trace.new_buckets)
-            if not new_ids:
-                continue
-            submit_buckets = {}
-            for cid in new_ids:
-                try:
-                    obj = store.get_object(cid)
-                except MissingRecord:
-                    verdict.fail("missing-bucket", cid.hex)
-                    continue
-                if isinstance(obj, Bucket):
-                    submit_buckets[cid] = obj
-            if set(submit_buckets) != new_ids:
-                continue
-            try:
-                if not check_context_membership(new_ids, submit_buckets, store):
-                    verdict.fail("context-membership", submit_id(submit).hex)
-            except MissingRecord as exc:  # an arrangement record of a molecular bucket
-                verdict.fail("missing-record", str(exc))
+        for cid, submit in walked.items():
+            failure = check_new_buckets(store, submit.submit_trace.new_buckets)
+            if failure is not None:
+                verdict.fail(failure[0], failure[1] or cid.hex)
         return walked
 
 

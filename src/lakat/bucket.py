@@ -20,7 +20,7 @@ from .codec import (
     protocol_struct,
 )
 from .identity import KeyIdentity, verify_signature
-from .store import Store
+from .store import MissingRecord, Store
 
 REF_MARKER = b"@lakat:"
 _REF_PATTERN = re.compile(re.escape(REF_MARKER) + rb"([0-9a-f]{66})")
@@ -261,6 +261,34 @@ def check_context_membership(
         if isinstance(obj, Bucket) and is_molecular(obj):
             contexted.update(arrangement_of(store, obj))
     return needing_context <= contexted
+
+
+def check_new_buckets(store: Store, new_bucket_ids) -> tuple[str, str] | None:
+    """The one check of a submit's new buckets, for appends and for the
+    verifier alike: load each one, then check context membership.  Returns
+    None on a pass, else the (code, detail) of the first failure:
+    missing-bucket, not-a-bucket (a record that is not a bucket or does not
+    decode), missing-record (an arrangement record of a molecular bucket) or
+    context-membership."""
+    submit_buckets = {}
+    for cid in new_bucket_ids:
+        try:
+            obj = store.get_object(cid)
+        except MissingRecord:
+            return "missing-bucket", cid.hex
+        except CodecError:
+            obj = None
+        if not isinstance(obj, Bucket):
+            return "not-a-bucket", cid.hex
+        submit_buckets[cid] = obj
+    if not submit_buckets:
+        return None
+    try:
+        if not check_context_membership(set(submit_buckets), submit_buckets, store):
+            return "context-membership", ""
+    except MissingRecord as exc:
+        return "missing-record", str(exc)
+    return None
 
 
 def fresh_info(refs_out: list[ContentId]) -> BucketInfo:

@@ -67,40 +67,31 @@ class SproutWrap:
     requesting_branch: ContentId
 
 
+def selection_tree(state: ProtocolState, root: Branch):
+    """The one walk of the sprout-selection tree under root: yield (owner,
+    entry) for every entry of every branch entered, depth first.  Root and
+    each held sprout are entered once; a sprout whose branch record has not
+    arrived is yielded but not entered."""
+    stack, entered = [root], {root.branch_id}
+    while stack:
+        owner = stack.pop()
+        for entry in owner.sprout_selection:
+            yield owner, entry
+            child = state.branches.get(entry.sprout)
+            if child is not None and entry.sprout not in entered:
+                entered.add(entry.sprout)
+                stack.append(child)
+
+
 def selection_owner(state: ProtocolState, core: Branch, sprout_id: ContentId) -> Branch | None:
     """The branch in core's downstream tree whose selection lists the sprout."""
-    frontier = [core]
-    seen = set()
-    while frontier:
-        branch = frontier.pop()
-        if branch.branch_id in seen:
-            continue
-        seen.add(branch.branch_id)
-        for entry in branch.sprout_selection:
-            if entry.sprout == sprout_id:
-                return branch
-            child = state.branches.get(entry.sprout)
-            if child is not None:
-                frontier.append(child)
-    return None
+    return next((owner for owner, entry in selection_tree(state, core) if entry.sprout == sprout_id), None)
 
 
 def downstream_path(state: ProtocolState, core: Branch, sprout_id: ContentId) -> list[Branch]:
     """[core, ..., sprout]: the chain of selection links from core down to
     the sprout, following current ownership."""
-    owners: dict[ContentId, ContentId] = {}
-    frontier = [core]
-    seen = set()
-    while frontier:
-        branch = frontier.pop()
-        if branch.branch_id in seen:
-            continue
-        seen.add(branch.branch_id)
-        for entry in branch.sprout_selection:
-            owners[entry.sprout] = branch.branch_id
-            child = state.branches.get(entry.sprout)
-            if child is not None:
-                frontier.append(child)
+    owners = {entry.sprout: owner.branch_id for owner, entry in selection_tree(state, core)}
     path_ids = [sprout_id]
     cursor = sprout_id
     while cursor != core.branch_id:
@@ -332,18 +323,15 @@ def finalize_ousted_sprout(
 
 
 def recompute_sprouts(state: ProtocolState, branch: Branch):
-    """Prune the transitive sprout set to what the live selection tree reaches."""
+    """Prune the transitive sprout set to what the live selection tree
+    reaches through sprouts: an owner's entries count only when the owner is
+    the branch itself or a sprout already counted (the walk is pre-order)."""
     reached = set()
-    frontier = list(branch.sprout_selection)
-    while frontier:
-        entry = frontier.pop()
-        if entry.sprout in reached:
-            continue
+    for owner, entry in selection_tree(state, branch):
         child = state.branches.get(entry.sprout)
-        if child is None or child.branch_type != SPROUT:
-            continue
-        reached.add(entry.sprout)
-        frontier.extend(child.sprout_selection)
+        counted = owner is branch or owner.branch_id in reached
+        if counted and child is not None and child.branch_type == SPROUT:
+            reached.add(entry.sprout)
     branch.sprouts = reached
     state.touch(branch.branch_id)
 

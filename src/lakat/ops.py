@@ -13,7 +13,7 @@ from functools import cached_property
 
 from .codec import ContentId, LogicalTimestamp, NULL_ID
 from .identity import KeyIdentity, make_contribution_proof
-from .bucket import InfoDelta, attach_info, arrangement_of, is_molecular
+from .bucket import arrangement_of, is_molecular
 from .branch import (
     Branch,
     BranchConfig,
@@ -225,14 +225,8 @@ def execute_merge(
     # reverse containment for arrangements that mention buckets the core already holds
     for cid in incoming:
         bucket = store.get_object(cid)
-        if not is_molecular(bucket):
-            continue
-        for member in arrangement_of(store, bucket):
-            info = trie_mod.get(new_trie, member)
-            if info is None or cid in info.bucket_refs_in:
-                continue
-            info = attach_info(info, InfoDelta(bucket_refs_in=(cid,)))
-            new_trie = trie_mod.insert(new_trie, member, info)
+        if is_molecular(bucket):
+            new_trie = trie_mod.add_container(new_trie, cid, arrangement_of(store, bucket))
     trace = SubmitTrace(
         merged_branch=plan.belt,
         belt_tip=plan.belt_tip,

@@ -33,13 +33,8 @@ class BranchRequests:
     """Eight FIFO channels, each with its own capacity.  Contents are
     ephemeral peer state and never enter any hashed object."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY, capacities: dict | None = None):
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
         self.capacities = {name: capacity for name in CHANNELS}
-        if capacities:
-            for name, cap in capacities.items():
-                if name not in CHANNELS:
-                    raise UnknownChannel(name)
-                self.capacities[name] = cap
         self.channels: dict[str, deque] = {name: deque() for name in CHANNELS}
 
     def enqueue(self, channel: str, payload) -> EnqueueVerdict:

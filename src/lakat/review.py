@@ -296,13 +296,7 @@ def submit_review(
     base_trie = trie_mod.Trie(get_submit(store, requesting.stable_head).trie_root, store)
     new_trie = trie_mod.insert(base_trie, review_bucket_id, fresh_info([]))
     new_trie = trie_mod.insert(new_trie, new_container_id, fresh_info(arrangement))
-    for member in arrangement:
-        info = trie_mod.get(new_trie, member)
-        if info is None:
-            continue
-        if new_container_id not in info.bucket_refs_in:
-            info = attach_info(info, InfoDelta(bucket_refs_in=(new_container_id,)))
-            new_trie = trie_mod.insert(new_trie, member, info)
+    new_trie = trie_mod.add_container(new_trie, new_container_id, arrangement)
     for reviewed in reviewed_buckets:
         info = trie_mod.get(new_trie, reviewed)
         if info is None:

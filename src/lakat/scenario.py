@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
-from .codec import CodecError, ContentId, canonical_encode
+from .codec import CodecError, ContentId
 from .identity import KeyIdentity, make_contribution_proof
 from .branch import (
+    Branch,
     BranchConfig,
+    BranchError,
     IntegrityError,
     PROPER,
     TWIG,
@@ -25,12 +27,13 @@ from .branch import (
     get_submit,
     submit_id,
 )
-from .lignify import lignify, register_veto, cast_vote, wrap_merge_in_sprout
-from .ops import create_genesis_branch, create_rooted_branch, execute_merge, plan_merge
-from .review import PullRequest, commit_review, create_pull_request, submit_review, twig_push
+from .bucket import BucketError
+from .lignify import LignificationError, lignify, register_veto, cast_vote, wrap_merge_in_sprout
+from .ops import BranchOpError, create_genesis_branch, create_rooted_branch, execute_merge, plan_merge
+from .review import AuthorizationError, PullRequest, commit_review, create_pull_request, submit_review, twig_push
 from .sim import SimConfig, World, route_request
-from .state import build_content_submit
-from .store import MemoryStore, MissingRecord, open_log, read_log, write_log
+from .state import ProtocolState, build_content_submit
+from .store import MemoryStore, MissingRecord, StoreError, open_log, read_log, write_log
 from . import trie as trie_mod
 
 DIRECTIVES = (
@@ -46,6 +49,9 @@ DIRECTIVES = (
     "expect",
 )
 QUIESCENCE_TICKS = 100_000  # a run whose events reach past this many ticks is NonQuiescent
+# what the engine raises when it refuses a step; Runner.run names the step
+ENGINE_ERRORS = (BranchOpError, LignificationError, AuthorizationError, BranchError, BucketError,
+                 StoreError, trie_mod.TrieError, CodecError)
 
 
 class ScenarioError(Exception):
@@ -222,7 +228,7 @@ class Runner:
             self.actors[name] = (identity, peer)
             self.world.register_host(identity.public_key, peer)
         self.branches: dict[str, tuple[ContentId, str]] = {}  # name -> (id, home peer)
-        self.prs: dict[str, dict] = {}  # name -> pull request fields
+        self.prs: dict[str, PullRequest] = {}
         self.sprouts: dict[str, tuple[ContentId, ContentId]] = {}  # name -> (sprout id, merge submit)
         self.report = RunReport()
 
@@ -235,24 +241,47 @@ class Runner:
             return self.sprouts[name][0]
         raise ScenarioError(f"unknown branch name {name!r}")
 
-    def _pr(self, pr_name: str) -> PullRequest:
-        fields = self.prs[pr_name]
-        return PullRequest(
-            fields["issuing"], fields["requesting"], fields["target"],
-            fields["container"], fields["carrier"],
-        )
+    def _sprout(self, name: str) -> tuple[ContentId, ContentId]:
+        if name not in self.sprouts:
+            raise ScenarioError(f"{name!r} names no wrapped sprout")
+        return self.sprouts[name]
 
     def _state(self, peer_name: str):
         return self.world.peers[peer_name].state
 
+    def _actor(self, name: str) -> tuple[KeyIdentity, str, ProtocolState]:
+        """The actor's identity, the peer it acts on, and that peer's state."""
+        identity, peer_name = self.actors[name]
+        return identity, peer_name, self._state(peer_name)
+
+    def _branch(self, peer_name: str, name: str) -> Branch:
+        """The named branch as the peer holds it; a peer that has not yet
+        received it is a scenario error, not an engine fault."""
+        branch = self._state(peer_name).branches.get(self._branch_id(name))
+        if branch is None:
+            raise ScenarioError(f"peer {peer_name} lacks branch {name!r}")
+        return branch
+
+    def _done(self, peer_name: str, summary: str, route: tuple | None = None):
+        """End a step: log the action, route its branch request, if any, to
+        the branch's contributors, and flush the peer's gossip."""
+        self.world.action(peer_name, summary)
+        if route is not None:
+            route_request(self.world, peer_name, *route)
+        self.world.flush_gossip(peer_name)
+
     # -- directive execution -------------------------------------------------
 
     def run(self) -> RunReport:
+        """Run every step, then drain the event queue.  A step the engine
+        refuses ends the run with a ScenarioError naming the step."""
         world = self.world
         for index, step in enumerate(self.scenario.steps):
             op = step["op"]
-            handler = getattr(self, f"_op_{op}")
-            handler(index, step)
+            try:
+                getattr(self, f"_op_{op}")(index, step)
+            except (ScenarioError, *ENGINE_ERRORS) as exc:
+                raise ScenarioError(f"step {index}: {op} rejected: {exc}") from exc
         world.run_until_quiescent(QUIESCENCE_TICKS)
         self.report.transcript_hash = world.transcript_hash()
         self.report.decision_log = list(world.decision_log)
@@ -266,8 +295,7 @@ class Runner:
         return self.report
 
     def _op_create_branch(self, index, step):
-        creator, peer_name = self.actors[step["creator"]]
-        state = self._state(peer_name)
+        creator, peer_name, state = self._actor(step["creator"])
         overrides = dict(step.get("config", {}))
         overrides["branch_type"] = step["type"]
         base = BranchConfig().to_json()
@@ -277,130 +305,95 @@ class Runner:
         if step.get("parent") is None:
             branch = create_genesis_branch(state, config, creator, self.world.now(), token)
         else:
-            parent_id = self._branch_id(step["parent"])
-            parent = state.branches[parent_id]
+            parent = self._branch(peer_name, step["parent"])
             branch = create_rooted_branch(
-                state, parent.stable_head, parent_id, creator, self.world.now(), config
+                state, parent.stable_head, parent.branch_id, creator, self.world.now(), config
             )
         self.branches[step["name"]] = (branch.branch_id, peer_name)
-        self.world.action(peer_name, f"create_branch {step['name']} {branch.branch_id.hex[:10]}")
-        route_request(self.world, peer_name, branch.branch_id, "branch_creation_broadcast",
-                      branch.branch_id.hex.encode())
-        self.world.flush_gossip(peer_name)
+        self._done(peer_name, f"create_branch {step['name']} {branch.branch_id.hex[:10]}",
+                   (branch.branch_id, "branch_creation_broadcast", branch.branch_id.hex.encode()))
 
     def _op_submit(self, index, step):
-        author, peer_name = self.actors[step["author"]]
-        state = self._state(peer_name)
-        branch_id = self._branch_id(step["branch"])
-        branch = state.branches[branch_id]
+        author, peer_name, state = self._actor(step["author"])
+        branch = self._branch(peer_name, step["branch"])
         payload = step["payload"].encode()
         submit = build_content_submit(
             state, branch, author, step.get("message", "submit"), self.world.now(), [payload]
         )
-        verdict, cid = twig_push(state, branch_id, submit, author.public_key)
+        verdict, cid = twig_push(state, branch.branch_id, submit, author.public_key)
         if not verdict.ok:
-            raise ScenarioError(f"step {index}: submit rejected: {verdict.code}")
-        state.add_proof(make_contribution_proof(author, branch_id, "content", cid))
-        self.world.action(peer_name, f"submit {step['branch']} {cid.hex[:10]}")
-        route_request(self.world, peer_name, branch_id, "submit_requests", cid.hex.encode())
-        self.world.flush_gossip(peer_name)
+            raise ScenarioError(verdict.code)
+        state.add_proof(make_contribution_proof(author, branch.branch_id, "content", cid))
+        self._done(peer_name, f"submit {step['branch']} {cid.hex[:10]}",
+                   (branch.branch_id, "submit_requests", cid.hex.encode()))
 
     def _op_pull_request(self, index, step):
-        author, peer_name = self.actors[step["author"]]
-        state = self._state(peer_name)
-        issuing = self._branch_id(step["issuing"])
-        requesting = self._branch_id(step["requesting"])
-        target = self._branch_id(step["target"])
-        pr, submit = create_pull_request(state, issuing, requesting, target, author, self.world.now())
-        self.prs[step["name"]] = {
-            "issuing": issuing,
-            "requesting": requesting,
-            "target": target,
-            "container": pr.review_container,
-            "carrier": pr.carrier_submit,
-        }
-        self.world.action(peer_name, f"pull_request {step['name']} {pr.review_container.hex[:10]}")
-        route_request(self.world, peer_name, target, "pull_requests", pr.review_container.hex.encode())
-        self.world.flush_gossip(peer_name)
+        author, peer_name, state = self._actor(step["author"])
+        issuing = self._branch(peer_name, step["issuing"]).branch_id
+        requesting, target = self._branch_id(step["requesting"]), self._branch_id(step["target"])
+        pr, _ = create_pull_request(state, issuing, requesting, target, author, self.world.now())
+        self.prs[step["name"]] = pr
+        self._done(peer_name, f"pull_request {step['name']} {pr.review_container.hex[:10]}",
+                   (target, "pull_requests", pr.review_container.hex.encode()))
 
     def _op_commit_review(self, index, step):
-        reviewer, peer_name = self.actors[step["reviewer"]]
-        state = self._state(peer_name)
-        pr = self._pr(step["pr"])
+        reviewer, peer_name, state = self._actor(step["reviewer"])
+        pr = self.prs[step["pr"]]
         # consume the routed notification if it is waiting in the channel
         state.requests_for(pr.target_branch).dequeue("pull_requests")
         verdict = commit_review(state, pr, reviewer, self.world.now())
         if not verdict.ok:
-            raise ScenarioError(f"step {index}: commit_review rejected: {verdict.code}")
-        self.world.action(peer_name, f"commit_review {step['pr']} by {step['reviewer']}")
-        self.world.flush_gossip(peer_name)
+            raise ScenarioError(verdict.code)
+        self._done(peer_name, f"commit_review {step['pr']} by {step['reviewer']}")
 
     def _op_review(self, index, step):
-        reviewer, peer_name = self.actors[step["reviewer"]]
-        state = self._state(peer_name)
-        pr = self._pr(step["pr"])
+        reviewer, peer_name, state = self._actor(step["reviewer"])
+        pr = self.prs[step["pr"]]
         text = step.get("text", "").encode()
         verdict, _ = submit_review(state, pr, reviewer, step["verdict"], text, self.world.now())
         if not verdict.ok:
-            raise ScenarioError(f"step {index}: review rejected: {verdict.code}")
-        self.world.action(peer_name, f"review {step['pr']} {step['verdict']} by {step['reviewer']}")
-        self.world.flush_gossip(peer_name)
+            raise ScenarioError(verdict.code)
+        self._done(peer_name, f"review {step['pr']} {step['verdict']} by {step['reviewer']}")
 
     def _op_merge(self, index, step):
-        author, peer_name = self.actors[step["author"]]
-        state = self._state(peer_name)
-        core_id = self._branch_id(step["core"])
-        belt_id = self._branch_id(step["belt"])
-        pr = self._pr(step["pr"]) if step.get("pr") else None
-        root_at = self._branch_id(step["root_at"]) if step.get("root_at") else core_id
+        author, peer_name, state = self._actor(step["author"])
+        core = self._branch(peer_name, step["core"])
+        belt = self._branch(peer_name, step["belt"])
+        pr = self.prs[step["pr"]] if step.get("pr") else None
+        root_at = self._branch(peer_name, step["root_at"]).branch_id if step.get("root_at") else core.branch_id
         approvals = None
         if step.get("approvals"):
             approvals = {self.actors[name][0].public_key for name in step["approvals"]}
-        plan = plan_merge(state, core_id, belt_id, pr, root_at)
+        plan = plan_merge(state, core.branch_id, belt.branch_id, pr, root_at)
         merge_submit = execute_merge(state, plan, author, self.world.now(), approvals)
         cid = submit_id(merge_submit)
-        core = state.branches[core_id]
         summary = f"merge {step['belt']} into {step['core']} submit {cid.hex[:10]}"
         if core.branch_type == PROPER:
             wrap = wrap_merge_in_sprout(
-                state, cid, author.public_key, belt_id, root_at, self.world.now()
+                state, cid, author.public_key, belt.branch_id, root_at, self.world.now()
             )
             if step.get("as"):
                 self.sprouts[step["as"]] = (wrap.sprout, cid)
-            lines = lignify(state, core_id, cid, now=self.world.now())
+            lines = lignify(state, core.branch_id, cid, now=self.world.now())
             self.world.decision_log.extend(lines)
             summary += f" sprout {wrap.sprout.hex[:10]}"
-        self.world.action(peer_name, summary)
-        route_request(self.world, peer_name, core_id, "submit_requests", cid.hex.encode())
-        self.world.flush_gossip(peer_name)
+        self._done(peer_name, summary, (core.branch_id, "submit_requests", cid.hex.encode()))
 
     def _op_veto(self, index, step):
-        actor, peer_name = self.actors[step["by"]]
-        state = self._state(peer_name)
-        core_id = self._branch_id(step["core"])
-        sprout_id = self.sprouts[step["sprout"]][0]
-        tick = self.world.tick
-        message = canonical_encode([b"veto", sprout_id, actor.public_key, tick])
-        veto = Veto(sprout_id, actor.public_key, tick, actor.sign(message))
-        verdict = register_veto(state, core_id, veto, self.world.now())
-        if not verdict.ok:
-            raise ScenarioError(f"step {index}: veto rejected: {verdict.code}")
-        self.world.action(peer_name, f"veto {step['sprout']} by {step['by']}")
-        self.world.flush_gossip(peer_name)
+        self._signal(step, "veto", Veto, register_veto)
 
     def _op_vote(self, index, step):
-        actor, peer_name = self.actors[step["by"]]
-        state = self._state(peer_name)
-        core_id = self._branch_id(step["core"])
-        sprout_id = self.sprouts[step["sprout"]][0]
-        tick = self.world.tick
-        message = canonical_encode([b"vote", sprout_id, actor.public_key, tick])
-        vote = Vote(sprout_id, actor.public_key, tick, actor.sign(message))
-        verdict = cast_vote(state, core_id, vote, self.world.now())
+        self._signal(step, "vote", Vote, cast_vote)
+
+    def _signal(self, step, op: str, kind, apply):
+        """Sign a veto or vote on the sprout and apply it to the core."""
+        actor, peer_name, state = self._actor(step["by"])
+        unsigned = kind(self._sprout(step["sprout"])[0], actor.public_key, self.world.tick, b"")
+        signed = replace(unsigned, signature=actor.sign(unsigned.message()))
+        verdict = apply(state, self._branch_id(step["core"]), signed, self.world.now())
         if not verdict.ok:
-            raise ScenarioError(f"step {index}: vote rejected: {verdict.code}")
-        self.world.action(peer_name, f"vote {step['sprout']} by {step['by']}")
-        self.world.flush_gossip(peer_name)
+            raise ScenarioError(verdict.code)
+        self._done(peer_name, f"{op} {step['sprout']} by {step['by']}")
 
     def _op_advance_ticks(self, index, step):
         self.world.run_until(self.world.tick + step["ticks"])
@@ -413,15 +406,11 @@ class Runner:
     def _evaluate_expect(self, step) -> tuple[bool, str]:
         that = step["that"]
         if that == "stable_head":
-            branch_id = self._branch_id(step["branch"])
-            state = self._home_state(step["branch"])
-            head = state.branches[branch_id].stable_head
-            expected = self.sprouts[step["equals_sprout_head"]][1]
+            _, branch = self._home(step["branch"])
+            head, expected = branch.stable_head, self._sprout(step["equals_sprout_head"])[1]
             return head == expected, f"head={head.hex[:12]} expected={expected.hex[:12]}"
         if that == "branch_rooted":
-            branch_id = self._branch_id(step["branch"])
-            state = self._home_state(step["branch"])
-            branch = state.branches[branch_id]
+            _, branch = self._home(step["branch"])
             parent_id = self._branch_id(step["parent"])
             ok = branch.parent_branch == parent_id and branch.branch_type == step.get("branch_type", PROPER)
             return ok, f"parent={branch.parent_branch.hex[:12]} type={branch.branch_type}"
@@ -437,31 +426,28 @@ class Runner:
                 texts.add(branch.header_text())
             return len(texts) == 1, f"{len(texts)} distinct headers"
         if that == "contributor":
-            branch_id = self._branch_id(step["branch"])
-            state = self._home_state(step["branch"])
+            state, branch = self._home(step["branch"])
             identity, _ = self.actors[step["actor"]]
-            present = state.contributors(branch_id).has(identity.public_key, step.get("kind"))
+            present = state.contributors(branch.branch_id).has(identity.public_key, step.get("kind"))
             return present == step.get("present", True), f"present={present}"
         if that == "bucket_count":
-            branch_id = self._branch_id(step["branch"])
-            state = self._home_state(step["branch"])
-            head = get_submit(state.store, state.branches[branch_id].stable_head)
+            state, branch = self._home(step["branch"])
+            head = get_submit(state.store, branch.stable_head)
             count = len(trie_mod.bucket_ids(trie_mod.Trie(head.trie_root, state.store)))
             return count == step["equals"], f"count={count}"
         if that == "branch_verifies":
-            branch_id = self._branch_id(step["branch"])
-            state = self._home_state(step["branch"])
-            verdict = state.verifier.verify(state.branches[branch_id])
+            state, branch = self._home(step["branch"])
+            verdict = state.verifier.verify(branch)
             return verdict.ok, f"failures={verdict.codes()}"
         if that == "quiescent":
             return not self.world.queue, f"queued={len(self.world.queue)}"
         raise ScenarioError(f"unknown expectation {that!r}")
 
-    def _home_state(self, branch_name: str):
-        if branch_name in self.branches:
-            return self._state(self.branches[branch_name][1])
-        # sprouts live on the peer that wrapped them; fall back to first peer
-        return self._state(next(iter(self.world.peers)))
+    def _home(self, name: str) -> tuple[ProtocolState, Branch]:
+        """The named branch on its home peer, with that peer's state.  Sprouts
+        live on the peer that wrapped them; they fall back to the first peer."""
+        peer_name = self.branches[name][1] if name in self.branches else next(iter(self.world.peers))
+        return self._state(peer_name), self._branch(peer_name, name)
 
 
 def run(scenario: Scenario) -> RunReport:

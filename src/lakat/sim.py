@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .codec import CodecError, ContentId, LogicalTimestamp, canonical_decode, canonical_encode, content_id
 from .identity import ContributionProof, KeyIdentity
 from .branch import Branch, IntegrityError, SelectionEntry, ancestry, branch_header_from_json
-from .lignify import SproutWrap
+from .lignify import SproutWrap, selection_tree
 from .state import ProtocolState
 from .store import MemoryStore, MissingRecord
 
@@ -137,7 +137,7 @@ class World:
             if other.name == joiner or not other.online:
                 continue
             for branch_id in sorted(other.state.branches):
-                payload = build_gossip_payload(other, branch_id, full_records=True)
+                payload = build_gossip_payload(other, branch_id)
                 self.emit(GOSSIP, other.name, joiner, payload, f"sync {branch_id.hex[:10]}", at)
 
     def step(self) -> bool:
@@ -206,37 +206,18 @@ class World:
 # -- gossip payloads ---------------------------------------------------------
 
 
-def _tree_branch_ids(state: ProtocolState, branch_id: ContentId) -> list[ContentId]:
-    """The branch plus every live sprout reachable through selections."""
-    out = [branch_id]
-    frontier = [branch_id]
-    seen = {branch_id}
-    while frontier:
-        branch = state.branches.get(frontier.pop())
-        if branch is None:
-            continue
-        for entry in branch.sprout_selection:
-            if entry.sprout in seen:
-                continue
-            seen.add(entry.sprout)
-            if entry.sprout in state.branches:
-                out.append(entry.sprout)
-                frontier.append(entry.sprout)
-    return out
-
-
-def build_gossip_payload(
-    peer: Peer, branch_id: ContentId, full_records: bool = False, receiver: str | None = None
-) -> bytes:
+def build_gossip_payload(peer: Peer, branch_id: ContentId, receiver: str | None = None) -> bytes:
     """Branch gossip: the header (plus the headers of its live sprout tree),
     wrap records, proofs, and the records needed to replay the bundled heads.
 
-    Records and proofs already shipped to the named receiver are skipped;
-    the receiver buffers any header it cannot yet resolve, so thinning the
-    payload never loses state.
+    With no receiver the whole store and every proof ship.  Records and
+    proofs already shipped to a named receiver are skipped; the receiver
+    buffers any header it cannot yet resolve, so thinning the payload never
+    loses state.
     """
     state = peer.state
-    tree = _tree_branch_ids(state, branch_id)
+    held = (entry.sprout for _, entry in selection_tree(state, state.branches[branch_id]))
+    tree = list(dict.fromkeys([branch_id, *(cid for cid in held if cid in state.branches)]))
     headers = [state.branches[cid].header_text() for cid in tree]
     wraps = []
     for cid in tree:
@@ -246,7 +227,7 @@ def build_gossip_payload(
     wraps.sort(key=lambda w: w.sprout)
     proofs = list(state.proofs.get(branch_id, []))
     order = state.store.ids()
-    if full_records or receiver is None:
+    if receiver is None:
         record_ids = list(order)
     else:
         # ship the store suffix this receiver has not seen; the receiver

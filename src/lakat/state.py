@@ -13,10 +13,9 @@ from dataclasses import dataclass, replace
 from .codec import ContentId, LogicalTimestamp, NULL_ID
 from .identity import ContributionProof, KeyIdentity
 from .bucket import (
-    Bucket,
     InfoDelta,
     attach_info,
-    check_context_membership,
+    check_new_buckets,
     create_atomic_bucket,
     create_molecular_bucket,
     extract_refs,
@@ -33,7 +32,7 @@ from .branch import (
     get_submit,
 )
 from .requests import BranchRequests
-from .store import MemoryStore, MissingRecord, Store
+from .store import MemoryStore, Store
 from . import trie as trie_mod
 
 
@@ -226,17 +225,9 @@ class ProtocolState:
         head = get_submit(self.store, branch.stable_head)
         if submit.timestamp.tick < head.timestamp.tick:
             return Verdict.fail("timestamp-regression"), None
-        new_ids = set(submit.submit_trace.new_buckets)
-        submit_buckets = {}
-        for cid in new_ids:
-            try:
-                obj = self.store.get_object(cid)
-            except MissingRecord:
-                return Verdict.fail("missing-bucket", cid.hex), None
-            if isinstance(obj, Bucket):
-                submit_buckets[cid] = obj
-        if not check_context_membership(new_ids, submit_buckets, self.store):
-            return Verdict.fail("context-membership"), None
+        failure = check_new_buckets(self.store, submit.submit_trace.new_buckets)
+        if failure is not None:
+            return Verdict.fail(*failure), None
         cid = self.store.put_object(submit)
         branch.stable_head = cid
         self.touch(branch_id)
@@ -272,10 +263,7 @@ def build_content_submit(
         _, molecular_id = create_molecular_bucket(store, creator_root, NULL_ID, atomic_ids, now)
         new_buckets.append(molecular_id)
         trie = trie_mod.insert(trie, molecular_id, fresh_info(atomic_ids))
-        for member in atomic_ids:
-            info = trie_mod.get(trie, member)
-            info = attach_info(info, InfoDelta(bucket_refs_in=(molecular_id,)))
-            trie = trie_mod.insert(trie, member, info)
+        trie = trie_mod.add_container(trie, molecular_id, atomic_ids)
     for bucket_id, delta in attachments:
         info = trie_mod.get(trie, bucket_id)
         if info is None:

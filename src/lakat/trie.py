@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codec import CodecError, ContentId, NULL_ID, canonical_decode, canonical_encode, content_id, protocol_struct
-from .bucket import BucketInfo
+from .bucket import BucketInfo, InfoDelta, attach_info
 from .store import Store
 
 KEY_NIBBLES = 32  # 16 bytes of digest
@@ -174,6 +174,17 @@ def insert(trie: Trie, bucket_id: ContentId, info: BucketInfo) -> Trie:
     key = trie_key(bucket_id)
     root = _insert(trie.store, trie.root, key, value_hash, bucket_id)
     return Trie(root, trie.store)
+
+
+def add_container(trie: Trie, container: ContentId, members) -> Trie:
+    """Reverse containment: each member the trie holds gains the molecular
+    container in its bucket_refs_in, once.  Members outside the trie are
+    skipped."""
+    for member in members:
+        info = get(trie, member)
+        if info is not None and container not in info.bucket_refs_in:
+            trie = insert(trie, member, attach_info(info, InfoDelta(bucket_refs_in=(container,))))
+    return trie
 
 
 def _walk(store: Store, root: ContentId, key: bytes):

@@ -357,6 +357,24 @@ def test_missing_arrangement_record_is_a_verdict(state, alice):
     assert ("missing-record", arrangement.hex) in verdict.failures
 
 
+@pytest.mark.parametrize("make_record", [
+    lambda store, alice: store.put_object(SubmitTrace()),  # decodes, but is not a bucket
+    lambda store, alice: store.put(b"\xff garbage"),  # does not decode
+], ids=["not-a-bucket", "undecodable"])
+def test_non_bucket_in_new_buckets_fails_append_and_verify_alike(state, alice, make_record):
+    """A submit whose new_buckets names a record that is not a bucket gets
+    the same failure from append_submit and from verify_branch, and neither
+    raises."""
+    twig = create_genesis_branch(state, twig_config(), alice, tick(0))
+    odd = make_record(state.store, alice)
+    trie_root = get_submit(state.store, twig.stable_head).trie_root
+    submit = Submit(twig.stable_head, "odd", trie_root, SubmitTrace(new_buckets=(odd,)), tick(1))
+    verdict, cid = state.append_submit(twig.branch_id, submit)
+    assert (verdict.ok, verdict.code, verdict.detail, cid) == (False, "not-a-bucket", odd.hex, None)
+    pushed = replace(twig, stable_head=state.store.put_object(submit))
+    assert verify_branch(pushed, state.store).failures == [("not-a-bucket", odd.hex)]
+
+
 def _raw_branch(root, head):
     return Branch(
         branch_id=compute_branch_id(NULL_ID, tick(0), root),

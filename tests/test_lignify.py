@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from lakat.codec import NULL_ID, canonical_encode, content_id
@@ -12,6 +14,7 @@ from lakat.lignify import (
     downstream_path,
     finalize_ousted_sprout,
     lignify,
+    recompute_sprouts,
     register_veto,
     vote_winner,
     wrap_merge_in_sprout,
@@ -88,6 +91,20 @@ def test_chained_sprout_depth_two(state, alice):
     assert [e.sprout for e in state.branches[wrap_a.sprout].sprout_selection] == [wrap_b.sprout]
     path = downstream_path(state, core, wrap_b.sprout)
     assert [b.branch_id for b in path] == [core.branch_id, wrap_a.sprout, wrap_b.sprout]
+
+
+def test_sprout_set_reaches_only_through_sprouts(state, alice):
+    """A proper branch still listed in the tree (a gossiped selection can lag
+    a conversion) keeps its own sprouts out of the core's sprout set."""
+    core = make_core(state, alice)
+    wrap_a, _ = wrap_at(state, core.branch_id, alice, "mA", 1)
+    wrap_b, _ = wrap_at(state, wrap_a.sprout, alice, "mB", 2)
+    wrap_c, _ = wrap_at(state, wrap_b.sprout, alice, "mC", 3)
+    assert core.sprouts == {wrap_a.sprout, wrap_b.sprout, wrap_c.sprout}
+    listed = state.branches[wrap_b.sprout]
+    listed.config = replace(listed.config, branch_type="proper")
+    recompute_sprouts(state, core)
+    assert core.sprouts == {wrap_a.sprout}
 
 
 def test_wrap_with_wrong_parent_rejected(state, alice):

@@ -1,8 +1,9 @@
 import pytest
 
+from lakat.bucket import create_molecular_bucket, fresh_info, is_molecular
 from lakat.codec import NULL_ID, content_id
 from lakat.identity import make_contribution_proof
-from lakat.branch import detect_conflicts, get_submit, submit_id, verify_branch
+from lakat.branch import Submit, SubmitTrace, detect_conflicts, get_submit, submit_id, verify_branch
 from lakat.lignify import lignify, wrap_merge_in_sprout
 from lakat.ops import (
     InvalidBranchType,
@@ -20,6 +21,7 @@ from lakat.ops import (
 from lakat.review import commit_review, create_pull_request, submit_review, twig_push
 from lakat.state import build_content_submit
 from lakat.ops import apply_config_change
+from lakat import trie as trie_mod
 from conftest import proper_config, tick, twig_config
 
 
@@ -153,6 +155,25 @@ def test_merge_into_twig_applies_directly(state, alice, carol):
     assert state.branches[core.branch_id].stable_head == submit_id(merge)
     assert bucket_set(state, core.branch_id) >= bucket_set(state, belt.branch_id)
     assert verify_branch(state.branches[core.branch_id], state.store).ok
+
+
+def test_merge_registers_incoming_container_on_held_members(state, alice, carol):
+    """A belt's new molecular bucket that arranges a bucket the core already
+    holds adds itself to the core's info of that bucket on merge."""
+    core = create_genesis_branch(state, twig_config(stale_after_merge=False), alice, tick(0))
+    _push(state, core, alice, b"core work", 1)
+    held = next(cid for cid in bucket_set(state, core.branch_id)
+                if not is_molecular(state.store.get_object(cid)))
+    belt = create_rooted_branch(state, core.stable_head, core.branch_id, carol, tick(2))
+    _, box = create_molecular_bucket(state.store, state.store.put(carol.public_key), NULL_ID, [held], tick(3))
+    belt_trie = trie_mod.Trie(get_submit(state.store, belt.stable_head).trie_root, state.store)
+    belt_trie = trie_mod.add_container(trie_mod.insert(belt_trie, box, fresh_info([held])), box, [held])
+    submit = Submit(belt.stable_head, "rearrange", belt_trie.root, SubmitTrace(new_buckets=(box,)), tick(3))
+    assert twig_push(state, belt.branch_id, submit, carol.public_key)[0].ok
+    before = trie_mod.get(trie_mod.Trie(get_submit(state.store, core.stable_head).trie_root, state.store), held)
+    merge = execute_merge(state, plan_merge(state, core.branch_id, belt.branch_id), alice, tick(4))
+    after = trie_mod.get(trie_mod.Trie(merge.trie_root, state.store), held)
+    assert after.bucket_refs_in == before.bucket_refs_in + (box,)
 
 
 def test_shared_ancestor_dedupe(state, alice, bob, carol):

@@ -54,7 +54,8 @@ def test_unknown_channel_raises():
 
 
 def test_per_channel_capacity_override():
-    requests = BranchRequests(capacity=1, capacities={"pull_requests": 3})
+    requests = BranchRequests(capacity=1)
+    requests.capacities["pull_requests"] = 3
     for _ in range(3):
         assert requests.enqueue("pull_requests", b"x").accepted
     assert not requests.enqueue("pull_requests", b"x").accepted

@@ -232,6 +232,29 @@ def test_cli_verify_reports_bad_dump_file_in_one_line(tmp_path, capsys, edit, li
     assert len(problems) == 1 and line in problems[0]
 
 
+def _fig5a_probe(kind):
+    with open(scenario_path("fig5a.json")) as fh:
+        data = json.load(fh)
+    if kind == "merge-without-pr":
+        data["steps"] = data["steps"][:11]
+        del data["steps"][10]["pr"]
+    else:  # carol pushes to twigA before its gossip reaches her peer
+        data["steps"] = data["steps"][:3] + [
+            {"op": "submit", "branch": "twigA", "author": "carol", "payload": "early"}]
+    return data
+
+
+@pytest.mark.parametrize("kind, line", [
+    ("merge-without-pr", "step 10: merge rejected: merging into a proper branch requires a pull request"),
+    ("submit-before-gossip", "step 3: submit rejected: peer p3 lacks branch 'twigA'"),
+])
+def test_cli_step_the_engine_refuses_exits_2_naming_the_step(tmp_path, capsys, kind, line):
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(_fig5a_probe(kind)))
+    assert cli_main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"scenario error: {line}"]
+
+
 def test_dump_and_verify_roundtrip(tmp_path, capsys):
     path = tmp_path / "minimal.json"
     path.write_text(MINIMAL)

@@ -8,6 +8,7 @@ from lakat.codec import ContentId, NULL_ID, canonical_encode, content_id
 from lakat.bucket import BucketInfo, InfoDelta, attach_info, fresh_info
 from lakat.trie import (
     Trie,
+    add_container,
     added_ids,
     TrieKeyCollision,
     TrieLeaf,
@@ -203,6 +204,15 @@ def test_empty_trie_absence_proof(store):
     proof = prove(trie, cid)
     assert verify_proof(trie.root, cid, None, proof)
     assert not verify_proof(trie.root, cid, BucketInfo(), proof)
+
+
+def test_add_container_registers_each_held_member_once(store):
+    a, b, absent, box = (content_id(bytes([n])) for n in range(4))
+    trie = insert(insert(empty_trie(store), a, fresh_info([])), b, fresh_info([]))
+    held = add_container(trie, box, [a, b, absent])
+    assert get(held, a).bucket_refs_in == (box,) == get(held, b).bucket_refs_in
+    assert get(held, absent) is None
+    assert add_container(held, box, [b, a]).root == held.root
 
 
 def test_items_enumerates_bucket_ids(store, rng):
