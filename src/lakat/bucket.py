@@ -281,8 +281,6 @@ def check_new_buckets(store: Store, new_bucket_ids) -> tuple[str, str] | None:
         if not isinstance(obj, Bucket):
             return "not-a-bucket", cid.hex
         submit_buckets[cid] = obj
-    if not submit_buckets:
-        return None
     try:
         if not check_context_membership(set(submit_buckets), submit_buckets, store):
             return "context-membership", ""

@@ -85,7 +85,10 @@ def selection_tree(state: ProtocolState, root: Branch):
 
 def selection_owner(state: ProtocolState, core: Branch, sprout_id: ContentId) -> Branch | None:
     """The branch in core's downstream tree whose selection lists the sprout."""
-    return next((owner for owner, entry in selection_tree(state, core) if entry.sprout == sprout_id), None)
+    for owner, entry in selection_tree(state, core):
+        if entry.sprout == sprout_id:
+            return owner
+    return None
 
 
 def downstream_path(state: ProtocolState, core: Branch, sprout_id: ContentId) -> list[Branch]:

@@ -216,8 +216,10 @@ def build_gossip_payload(peer: Peer, branch_id: ContentId, receiver: str | None 
     loses state.
     """
     state = peer.state
-    held = (entry.sprout for _, entry in selection_tree(state, state.branches[branch_id]))
-    tree = list(dict.fromkeys([branch_id, *(cid for cid in held if cid in state.branches)]))
+    tree = {branch_id: None}  # the branch, then each held sprout once, in walk order
+    for _, entry in selection_tree(state, state.branches[branch_id]):
+        if entry.sprout in state.branches:
+            tree.setdefault(entry.sprout)
     headers = [state.branches[cid].header_text() for cid in tree]
     wraps = []
     for cid in tree:
