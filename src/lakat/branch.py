@@ -477,6 +477,43 @@ def in_closure(store: Store, head: ContentId, target: ContentId) -> bool:
     return target in _walk_closure(store, [head], {})
 
 
+def _merge_index(store: Store, head: ContentId) -> tuple[tuple, frozenset]:
+    """Belts merged in the closure of head, each once in the order of its
+    first merge, and the (target, requesting) pairs of its pull requests.
+    A closure is the submit, its parent's closure, then what the parent's
+    lacks of its belt tip's closure (_walk_closure), so an entry joins the
+    parent's and tip's entries.  Memoised in the store; filled bottom-up
+    with a stack: parent chains run thousands deep."""
+    merges = store.merge_index
+    if head in merges:
+        return merges[head]
+    stack = [head]
+    while stack:
+        cid = stack[-1]
+        if cid in merges:
+            stack.pop()
+            continue
+        submit = get_submit(store, cid)
+        trace, tip = submit.submit_trace, submit.submit_trace.belt_tip
+        missing = [x for x in (submit.parent, tip) if x is not None and x not in merges]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        belts, pairs = merges[submit.parent]
+        if tip is not None:
+            tip_belts, tip_pairs = merges[tip]
+            held = set(belts)
+            belts = belts + tuple(b for b in tip_belts if b not in held)
+            pairs = pairs | tip_pairs
+        if trace.merged_branch is not None:
+            belts = (trace.merged_branch,) + tuple(b for b in belts if b != trace.merged_branch)
+        if trace.pull_requests:
+            pairs = pairs | {(pr.target_branch, pr.requesting_branch) for pr in trace.pull_requests}
+        merges[cid] = (belts, pairs)
+    return merges[head]
+
+
 def conflict_records(
     store: Store, included: dict[ContentId, Submit], branch_id: ContentId
 ) -> set[ConflictRecord]:
@@ -523,12 +560,14 @@ def detect_conflicts(branch: Branch, store: Store) -> set[ConflictRecord]:
 _NO_IDS = frozenset()
 
 
-def _attestations(store: Store, node_id: ContentId, memo: dict) -> frozenset:
+def _attestations(store: Store, node_id: ContentId) -> frozenset:
     """Ids of the storage attestations held in the bucket infos under a trie
     node.  A node id fixes its whole subtree (a leaf id hashes its value
-    hash), so the answer is memoised per node and a new root only visits
-    the nodes its update path-copied.  An info record missing from the
-    store counts as holding none."""
+    hash), so the answer is memoised per node in the store and a new root
+    only visits the nodes its update path-copied.  An info record missing
+    from the store counts as holding none, and neither that leaf nor any
+    node above it is memoised until the record arrives."""
+    memo = store.attestations
     found = memo.get(node_id)
     if found is not None:
         return found
@@ -539,16 +578,18 @@ def _attestations(store: Store, node_id: ContentId, memo: dict) -> frozenset:
         try:
             info = store.get_object(node.value_hash)
         except MissingRecord:
-            info = None
+            return _NO_IDS
         ids = frozenset(object_id(a) for a in getattr(info, "storage_proofs", ())) or _NO_IDS
     else:
         children = (node.child,) if isinstance(node, trie_mod.TrieExtension) else node.children
         ids = _NO_IDS
         for child in children:
             if child is not None:
-                child_ids = _attestations(store, child, memo)
+                child_ids = _attestations(store, child)
                 if child_ids:
                     ids = ids | child_ids
+        if any(child is not None and child not in memo for child in children):
+            return ids
     memo[node_id] = ids
     return ids
 
@@ -575,16 +616,14 @@ class Evidence(Set):
         return len(self.records | self.attestations | self.tokens)
 
 
-def collect_evidence(branch: Branch, store: Store, node_attestations: dict | None = None,
-                     held: Evidence | None = None) -> Evidence:
+def collect_evidence(branch: Branch, store: Store, held: Evidence | None = None) -> Evidence:
     """Every id a contribution proof may legitimately cite: the submits from
     root to head, the belt closures reachable from merge submits in that
     range, the records those submits introduce (buckets, commitments, review
-    items, containers), plus storage and token attestations.
-    node_attestations, when the caller keeps one, memoises the attestations
-    per trie node.  held, an earlier result for the branch, is extended in
-    place when the head descends from its head without passing the initial
-    head; any other move rebuilds."""
+    items, containers), plus storage and token attestations.  held, an
+    earlier result for the branch, is extended in place when the head
+    descends from its head without passing the initial head; any other move
+    rebuilds."""
     head = branch.stable_head
     suffix = None
     if held is not None and head != NULL_ID and held.head != NULL_ID:
@@ -603,8 +642,7 @@ def collect_evidence(branch: Branch, store: Store, node_attestations: dict | Non
         records.update(trace.new_buckets)
         records.update(trace.reviews_trace)
         records.update(pr.review_container for pr in trace.pull_requests)
-    memo = node_attestations if node_attestations is not None else {}
-    attestations = _attestations(store, get_submit(store, head).trie_root, memo) if head != NULL_ID else _NO_IDS
+    attestations = _attestations(store, get_submit(store, head).trie_root) if head != NULL_ID else _NO_IDS
     tokens = frozenset(content_id(token) for token in branch.branch_token)
     return Evidence(head, records, walked, attestations, tokens)
 
@@ -654,76 +692,54 @@ class BranchVerdict:
         return [code for code, _ in self.failures]
 
 
-class Verifier:
-    """Checks branches against one store, each submit once, as fsck checks
-    each object once.  It remembers the submits whose chain down to the
-    singularity passed every per-submit check (id, type, tick order, context
-    membership), and its walk stops at the first of them.  Records are
-    immutable and a store only grows, so a pass stays a pass; a failure is
-    never remembered.  The remembered part holds no failure, so the verdict
-    is the one a walk of the whole chain gives."""
-
-    def __init__(self, store: Store):
-        self.store = store
-        self.verified: set[ContentId] = set()
-
-    def verify(self, branch: Branch) -> BranchVerdict:
-        """Integrity check: id recomputation, acyclic history, monotone ticks,
-        context membership of every submit, and the conflict policy."""
-        verdict = BranchVerdict()
-        recomputed = compute_branch_id(branch.parent_branch, branch.timestamp, branch.initial_head)
-        if recomputed != branch.branch_id:
-            verdict.fail("branch-id-mismatch", branch.branch_id.hex)
-        held = len(verdict.failures)
-        walked = self._check_chain(branch.stable_head, verdict)
-        if walked is None:
-            return verdict
-        if len(verdict.failures) == held:
-            self.verified.update(walked)
-        if not branch.config.accept_conflicts and detect_conflicts(branch, self.store):
-            verdict.fail("conflict-policy", "conflicts present but not accepted")
-        return verdict
-
-    def _check_chain(self, head: ContentId, verdict: BranchVerdict) -> dict[ContentId, Submit] | None:
-        """Check the submits from head down to the first verified one, and
-        return them, or None when the chain is broken (cycle, dangling
-        submit, or a record that is not a submit or does not decode)."""
-        store, verified = self.store, self.verified
-        walked: dict[ContentId, Submit] = {}
-        cursor = head
-        while cursor != NULL_ID and cursor not in verified:
-            if cursor in walked:
-                verdict.fail("history-integrity", "cycle in submit chain")
-                return None
-            try:
-                raw = store.get(cursor)
-            except MissingRecord:
-                verdict.fail("history-integrity", f"dangling submit {cursor.hex}")
-                return None
-            if content_id(raw) != cursor:
-                verdict.fail("submit-id-mismatch", cursor.hex)
-            try:
-                submit = store.get_object(cursor)
-            except CodecError:
-                submit = None
-            if not isinstance(submit, Submit):
-                verdict.fail("history-integrity", f"{cursor.hex} is not a submit")
-                return None
-            walked[cursor] = submit
-            cursor = submit.parent
-        submits = list(walked.values())
-        if submits and cursor != NULL_ID:
-            submits.append(get_submit(store, cursor))  # verified: only its tick is read
-        for child, parent in zip(submits, submits[1:]):
-            if child.timestamp.tick < parent.timestamp.tick:
-                verdict.fail("timestamp-regression", submit_id(child).hex)
-        for cid, submit in walked.items():
-            failure = check_new_buckets(store, submit.submit_trace.new_buckets)
-            if failure is not None:
-                verdict.fail(failure[0], failure[1] or cid.hex)
-        return walked
-
-
 def verify_branch(branch: Branch, store: Store) -> BranchVerdict:
-    """One-off integrity check of a branch (see Verifier)."""
-    return Verifier(store).verify(branch)
+    """Integrity check: id recomputation, acyclic history, monotone ticks,
+    context membership of every submit, and the conflict policy.  A broken
+    chain (cycle, dangling submit, or a record that is not a submit or does
+    not decode) ends the check.  Each submit is checked once per store, as
+    fsck checks each object once: the walk stops at the first submit in
+    store.verified, whose chain down to the singularity passed every
+    per-submit check.  Only a chain that passed is added, so the verdict is
+    the one a walk of the whole chain gives."""
+    verdict = BranchVerdict()
+    recomputed = compute_branch_id(branch.parent_branch, branch.timestamp, branch.initial_head)
+    if recomputed != branch.branch_id:
+        verdict.fail("branch-id-mismatch", branch.branch_id.hex)
+    held = len(verdict.failures)
+    walked: dict[ContentId, Submit] = {}
+    cursor = branch.stable_head
+    while cursor != NULL_ID and cursor not in store.verified:
+        if cursor in walked:
+            verdict.fail("history-integrity", "cycle in submit chain")
+            return verdict
+        try:
+            raw = store.get(cursor)
+        except MissingRecord:
+            verdict.fail("history-integrity", f"dangling submit {cursor.hex}")
+            return verdict
+        if content_id(raw) != cursor:
+            verdict.fail("submit-id-mismatch", cursor.hex)
+        try:
+            submit = store.get_object(cursor)
+        except CodecError:
+            submit = None
+        if not isinstance(submit, Submit):
+            verdict.fail("history-integrity", f"{cursor.hex} is not a submit")
+            return verdict
+        walked[cursor] = submit
+        cursor = submit.parent
+    submits = list(walked.values())
+    if submits and cursor != NULL_ID:
+        submits.append(get_submit(store, cursor))  # verified: only its tick is read
+    for child, parent in zip(submits, submits[1:]):
+        if child.timestamp.tick < parent.timestamp.tick:
+            verdict.fail("timestamp-regression", submit_id(child).hex)
+    for cid, submit in walked.items():
+        failure = check_new_buckets(store, submit.submit_trace.new_buckets)
+        if failure is not None:
+            verdict.fail(failure[0], failure[1] or cid.hex)
+    if len(verdict.failures) == held:
+        store.verified.update(walked)
+    if not branch.config.accept_conflicts and detect_conflicts(branch, store):
+        verdict.fail("conflict-policy", "conflicts present but not accepted")
+    return verdict

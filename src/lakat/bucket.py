@@ -264,9 +264,9 @@ def check_context_membership(
 
 
 def check_new_buckets(store: Store, new_bucket_ids) -> tuple[str, str] | None:
-    """The one check of a submit's new buckets, for appends and for the
-    verifier alike: load each one, then check context membership.  Returns
-    None on a pass, else the (code, detail) of the first failure:
+    """The one check of a submit's new buckets, for appends and for
+    verify_branch alike: load each one, then check context membership.
+    Returns None on a pass, else the (code, detail) of the first failure:
     missing-bucket, not-a-bucket (a record that is not a bucket or does not
     decode), missing-record (an arrangement record of a molecular bucket) or
     context-membership."""

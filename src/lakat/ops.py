@@ -29,6 +29,7 @@ from .branch import (
     get_submit,
     in_closure,
     submit_id,
+    verify_branch,
 )
 from .review import PullRequest, check_maturity, merge_ready
 from .state import ProtocolState
@@ -198,7 +199,7 @@ def execute_merge(
         raise StaleBranch("core is stale")
     if belt.stale:
         raise StaleBranch("belt is stale")
-    belt_verdict = state.verifier.verify(belt)
+    belt_verdict = verify_branch(belt, store)
     if not belt_verdict.ok:
         raise InvalidMerge(f"belt failed validation: {belt_verdict.codes()}")
     if not core.config.accept_conflicts and plan.conflicts:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .codec import CodecError, ContentId
 from .identity import KeyIdentity, make_contribution_proof
@@ -20,12 +20,12 @@ from .branch import (
     IntegrityError,
     PROPER,
     TWIG,
-    Verifier,
     Veto,
     Vote,
     branch_header_from_json,
     get_submit,
     submit_id,
+    verify_branch,
 )
 from .bucket import BucketError
 from .lignify import LignificationError, lignify, register_veto, cast_vote, wrap_merge_in_sprout
@@ -48,10 +48,22 @@ DIRECTIVES = (
     "advance_ticks",
     "expect",
 )
+EXPECTATIONS = {  # expect kind -> the fields it reads
+    "stable_head": ("branch", "equals_sprout_head"),
+    "branch_rooted": ("branch", "parent"),
+    "headers_converged": ("branch",),
+    "contributor": ("branch", "actor"),
+    "bucket_count": ("branch", "equals"),
+    "branch_verifies": ("branch",),
+    "quiescent": (),
+}
+CONFIG_FIELDS = {f.name for f in fields(BranchConfig)}
 QUIESCENCE_TICKS = 100_000  # a run whose events reach past this many ticks is NonQuiescent
 # what the engine raises when it refuses a step; Runner.run names the step
 ENGINE_ERRORS = (BranchOpError, LignificationError, AuthorizationError, BranchError, BucketError,
                  StoreError, trie_mod.TrieError, CodecError)
+# what reading a branch header or config from JSON raises when it is malformed
+HEADER_ERRORS = (KeyError, TypeError, ValueError, AttributeError, CodecError)
 
 
 class ScenarioError(Exception):
@@ -160,6 +172,12 @@ def parse_scenario(text: str) -> Scenario:
             check_actor(step, index, "creator")
             if step["type"] not in (TWIG, PROPER):
                 raise ScenarioError(f"step {index}: branch type must be twig or proper")
+            config = step.get("config", {})
+            if not isinstance(config, dict):
+                raise ScenarioError(f"step {index}: config must be an object")
+            for key in config:
+                if key not in CONFIG_FIELDS:
+                    raise ScenarioError(f"step {index}: unknown config field {key!r}")
             if step.get("parent") is not None:
                 check_branch(step, index, "parent")
             if step["name"] in branch_names:
@@ -215,6 +233,9 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(f"step {index}: ticks must be a non-negative integer")
         elif op == "expect":
             _need(step, index, "that")
+            if not isinstance(step["that"], str) or step["that"] not in EXPECTATIONS:
+                raise ScenarioError(f"step {index}: unknown expectation {step['that']!r}")
+            _need(step, index, *EXPECTATIONS[step["that"]])
     return Scenario(sim, peers, actors, steps, data)
 
 
@@ -300,7 +321,10 @@ class Runner:
         overrides["branch_type"] = step["type"]
         base = BranchConfig().to_json()
         base.update(overrides)
-        config = BranchConfig.from_json(base)
+        try:
+            config = BranchConfig.from_json(base)
+        except HEADER_ERRORS as exc:
+            raise ScenarioError(f"config unreadable: {type(exc).__name__}: {exc}") from exc
         token = bytes.fromhex(step["token"]) if step.get("token") else None
         if step.get("parent") is None:
             branch = create_genesis_branch(state, config, creator, self.world.now(), token)
@@ -437,11 +461,9 @@ class Runner:
             return count == step["equals"], f"count={count}"
         if that == "branch_verifies":
             state, branch = self._home(step["branch"])
-            verdict = state.verifier.verify(branch)
+            verdict = verify_branch(branch, state.store)
             return verdict.ok, f"failures={verdict.codes()}"
-        if that == "quiescent":
-            return not self.world.queue, f"queued={len(self.world.queue)}"
-        raise ScenarioError(f"unknown expectation {that!r}")
+        return not self.world.queue, f"queued={len(self.world.queue)}"  # quiescent
 
     def _home(self, name: str) -> tuple[ProtocolState, Branch]:
         """The named branch on its home peer, with that peer's state.  Sprouts
@@ -480,9 +502,6 @@ def dump_state(world: World, path: str):
             json.dump(roots, fh, sort_keys=True, indent=1)
 
 
-HEADER_ERRORS = (KeyError, TypeError, ValueError, AttributeError, CodecError)  # of an unreadable header
-
-
 def verify_dump(path: str) -> list[str]:
     """Re-check integrity of a dumped world; returns a list of problems."""
     if not os.path.isdir(path):
@@ -506,7 +525,6 @@ def _verify_peer(peer_dir: str) -> list[str]:
                 if data is not None:
                     store.put(data)
     headers, roots = (_json_object(peer_dir, name, problems) for name in ("headers.json", "trie_roots.json"))
-    verifier = Verifier(store)  # shared history is checked once per peer
     readable = set()  # trie roots read in full
     for bid_hex, header in headers.items():
         label = f"branch {bid_hex[:12]}"
@@ -516,17 +534,21 @@ def _verify_peer(peer_dir: str) -> list[str]:
             problems.append(f"{label} header unreadable: {type(exc).__name__}")
             continue
         try:
-            verdict = verifier.verify(branch)
+            verdict = verify_branch(branch, store)  # shared history is checked once per peer
             if not verdict.ok:
                 problems.append(f"{label} fails: {verdict.codes()}")
             expected_root = roots.get(bid_hex)
-            if expected_root and branch.stable_head in verifier.verified:  # else the verdict failed it
+            if expected_root and branch.stable_head in store.verified:  # else the verdict failed it
                 head = get_submit(store, branch.stable_head)
                 if head.trie_root.hex != expected_root:
                     problems.append(f"{label} trie root mismatch")
                 elif head.trie_root not in readable:
-                    trie_mod.items(trie_mod.Trie(head.trie_root, store))  # must be fully readable
-                    readable.add(head.trie_root)
+                    try:
+                        trie_mod.items(trie_mod.Trie(head.trie_root, store))  # must be fully readable
+                    except (trie_mod.TrieError, CodecError) as exc:
+                        problems.append(f"{label} trie unreadable: {exc}")
+                    else:
+                        readable.add(head.trie_root)
         except MissingRecord as exc:
             problems.append(f"{label} misses record {exc}")
     return problems

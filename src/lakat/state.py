@@ -26,7 +26,7 @@ from .branch import (
     ContributorSet,
     Submit,
     SubmitTrace,
-    Verifier,
+    _merge_index,
     collect_evidence,
     derive_contributors,
     get_submit,
@@ -55,7 +55,6 @@ class ProtocolState:
 
     def __init__(self, store: Store | None = None):
         self.store: Store = store if store is not None else MemoryStore()
-        self.verifier = Verifier(self.store)  # remembers the submits it checked
         self.branches: dict[ContentId, Branch] = {}
         self.proofs: dict[ContentId, list[ContributionProof]] = {}
         self.wraps: dict[ContentId, "object"] = {}  # sprout id -> SproutWrap
@@ -63,12 +62,11 @@ class ProtocolState:
         self.spent: set[ContentId] = set()  # sprouts absorbed by donation
         self.requests: dict[ContentId, BranchRequests] = {}
         self.touched: set[ContentId] = set()  # branches changed since the last gossip flush
-        # derived state of contributors(); every entry is a function of its key
+        # derived state of contributors() keyed by branch and revalidated by
+        # key; what is keyed by content id is memoised in the store
         self._direct: dict[ContentId, tuple] = {}  # branch -> (key, direct set, evidence)
-        self._merges: dict[ContentId, tuple[tuple, frozenset]] = {NULL_ID: ((), frozenset())}
         self._requesters: dict[ContentId, set] = {}  # target -> belts asking it, see _asking
         self._indexed: dict[ContentId, ContentId] = {}  # belt -> head its requests were indexed at
-        self._node_attestations: dict[ContentId, frozenset] = {}  # trie node -> attestation ids
 
     # -- registration ------------------------------------------------------
 
@@ -106,9 +104,10 @@ class ProtocolState:
 
         Derived state follows what changed: the direct set per branch, keyed
         on (stable head, token list, accepted proof kinds, proof count); the
-        evidence per branch, extended while its head descends; the merge
-        index per head; the belts asking each target; the attestation ids per
-        trie node.  The result is a fresh set the caller may change."""
+        evidence per branch, extended while its head descends; the belts
+        asking each target; and, in the store, the merge index per head and
+        the attestation ids per trie node.  The result is a fresh set the
+        caller may change."""
         branches, asking = self.branches, None
         result = ContributorSet()
         visited = set()
@@ -125,7 +124,7 @@ class ProtocolState:
             if wrap is not None:
                 result.add("content", wrap.creator)
                 reached.append(wrap.requesting_branch)
-            belts = self._merge_index(branch.stable_head)[0]
+            belts = _merge_index(self.store, branch.stable_head)[0]
             if belts:
                 asking = self._asking() if asking is None else asking
                 requesting = asking.get(current)
@@ -141,7 +140,7 @@ class ProtocolState:
         held = self._direct.get(branch_id)
         if held is not None and held[0] == key:
             return held[1]
-        evidence = collect_evidence(branch, self.store, self._node_attestations, held and held[2])
+        evidence = collect_evidence(branch, self.store, held and held[2])
         direct = derive_contributors(branch, proofs, self.store, evidence=evidence)
         self._direct[branch_id] = (key, direct, evidence)
         return direct
@@ -150,12 +149,12 @@ class ProtocolState:
         """target -> belts whose current head's closure carries a pull request
         from the belt to the target; a belt whose head moved is re-indexed
         from the difference of the two heads' pull-request pairs."""
-        index, indexed = self._requesters, self._indexed
+        index, indexed, store = self._requesters, self._indexed, self.store
         for belt_id, branch in self.branches.items():
             old, new = indexed.get(belt_id, NULL_ID), branch.stable_head
             if old == new:
                 continue
-            old_pairs, new_pairs = self._merge_index(old)[1], self._merge_index(new)[1]
+            old_pairs, new_pairs = _merge_index(store, old)[1], _merge_index(store, new)[1]
             indexed[belt_id] = new
             if old_pairs is new_pairs:  # a submit without pull requests shares its parent's
                 continue
@@ -166,42 +165,6 @@ class ProtocolState:
                 if requesting == belt_id:
                     index.setdefault(target, set()).add(belt_id)
         return index
-
-    def _merge_index(self, head: ContentId) -> tuple[tuple, frozenset]:
-        """Belts merged in the closure of head, each once in the order of its
-        first merge, and the (target, requesting) pairs of its pull requests.
-        A closure is the submit, its parent's closure, then what the parent's
-        lacks of its belt tip's closure (branch._walk_closure), so an entry
-        joins the parent's and tip's entries.  Filled bottom-up with a stack:
-        parent chains run thousands deep."""
-        merges, store = self._merges, self.store
-        if head in merges:
-            return merges[head]
-        stack = [head]
-        while stack:
-            cid = stack[-1]
-            if cid in merges:
-                stack.pop()
-                continue
-            submit = get_submit(store, cid)
-            trace, tip = submit.submit_trace, submit.submit_trace.belt_tip
-            missing = [x for x in (submit.parent, tip) if x is not None and x not in merges]
-            if missing:
-                stack.extend(missing)
-                continue
-            stack.pop()
-            belts, pairs = merges[submit.parent]
-            if tip is not None:
-                tip_belts, tip_pairs = merges[tip]
-                held = set(belts)
-                belts = belts + tuple(b for b in tip_belts if b not in held)
-                pairs = pairs | tip_pairs
-            if trace.merged_branch is not None:
-                belts = (trace.merged_branch,) + tuple(b for b in belts if b != trace.merged_branch)
-            if trace.pull_requests:
-                pairs = pairs | {(pr.target_branch, pr.requesting_branch) for pr in trace.pull_requests}
-            merges[cid] = (belts, pairs)
-        return merges[head]
 
     # -- submit appending --------------------------------------------------
 

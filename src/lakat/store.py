@@ -23,13 +23,29 @@ class MissingRecord(StoreError):
 
 class Store:
     """Single-writer, multi-reader content-addressed map: a backend defines
-    put, get, has and ids."""
+    put, get, has and ids.
+
+    The store is also the one cache of what is computed from its records.
+    Each memo is keyed by content id; records are immutable and a store only
+    grows, so an entry never goes stale.  A value that read a record the
+    store lacks is not kept.  By key:
+    - _decoded: record -> its decoded protocol struct (get_object);
+    - node_cache: trie node -> its decoded node (trie.load_node), kept apart
+      so a trie root that names any other record fails to load;
+    - last_listing: the root listed last, with its bucket ids (trie.bucket_ids);
+    - attestations: trie node -> storage attestation ids under it;
+    - merge_index: submit -> belts merged in its inclusion closure and the
+      (target, requesting) pairs of its pull requests;
+    - verified: submits whose chain down to the singularity passed
+      verify_branch's per-submit checks."""
 
     def __init__(self):
         self._decoded: dict[ContentId, object] = {}
-        self.node_cache: dict[ContentId, object] = {}  # decoded trie nodes, see trie.load_node
-        # (root, its bucket ids) of the trie listed last, see trie.bucket_ids
+        self.node_cache: dict[ContentId, object] = {}
         self.last_listing: tuple[ContentId, frozenset] = (NULL_ID, frozenset())
+        self.attestations: dict[ContentId, frozenset] = {}
+        self.merge_index: dict[ContentId, tuple[tuple, frozenset]] = {NULL_ID: ((), frozenset())}
+        self.verified: set[ContentId] = set()
 
     def put_object(self, value) -> ContentId:
         return self.put(canonical_encode(value))

@@ -19,7 +19,6 @@ from lakat.branch import (
     conflict_records,
     derive_contributors,
     detect_conflicts,
-    Verifier,
     ancestry,
     get_submit,
     in_closure,
@@ -35,6 +34,7 @@ from lakat.store import MemoryStore, MissingRecord
 from conftest import proper_config, tick, twig_config
 
 import json
+import os
 
 
 def _push_payload(state, branch, author, payload, at):
@@ -297,6 +297,34 @@ def test_storage_attestation_makes_storage_contributor(state, alice, bob):
     assert bob.public_key in result.storage
 
 
+def test_attestations_of_a_late_info_record_equal_a_cold_copy(state, alice, bob):
+    """A leaf whose info record has not arrived holds no attestation yet;
+    once the record arrives, the store's memo gives what a cold copy gives."""
+    from lakat.bucket import InfoDelta, make_storage_attestation
+    from lakat.codec import object_id
+    from lakat import trie as trie_mod
+
+    branch = create_genesis_branch(state, twig_config(), alice, tick(0))
+    _push_payload(state, branch, alice, b"data", 1)
+    bucket_cid = get_submit(state.store, branch.stable_head).submit_trace.new_buckets[0]
+    attestation = make_storage_attestation(bob, bucket_cid, tick(2))
+    follow = build_content_submit(state, branch, alice, "attach", tick(2),
+                                  attachments=[(bucket_cid, InfoDelta(storage_proofs=(attestation,)))])
+    assert twig_push(state, branch.branch_id, follow, alice.public_key)[0].ok
+    info = trie_mod.get(trie_mod.Trie(follow.trie_root, state.store), bucket_cid)
+    late = MemoryStore()
+    for cid in state.store.ids():
+        if cid != object_id(info):
+            late.put(state.store.get(cid))
+    before = collect_evidence(branch, late)
+    assert object_id(attestation) not in before
+    assert set(before) == set(collect_evidence(branch, _cold_copy(late)))
+    late.put(state.store.get(object_id(info)))
+    after = collect_evidence(branch, late)
+    assert object_id(attestation) in after
+    assert set(after) == set(collect_evidence(branch, _cold_copy(late)))
+
+
 def test_merge_union_with_and_without_pr(alice, bob):
     core = ContributorSet()
     core.add("content", alice.public_key)
@@ -451,7 +479,15 @@ def test_conflict_policy_verdict(store, alice):
     assert verify_branch(branch, store).ok
 
 
-# -- one verifier per store ---------------------------------------------------------
+# -- one verified set per store ------------------------------------------------------
+
+
+def _cold_copy(store):
+    """The same records under their stored ids, with no memo, so a tampered
+    record stays tampered."""
+    copy = MemoryStore()
+    copy._records, copy._order = dict(store._records), list(store._order)
+    return copy
 
 
 def _shared_history(state, alice, bob):
@@ -471,12 +507,11 @@ def test_bad_shared_submit_is_reported_for_every_branch(state, alice, bob):
     core, left, right, shared = _shared_history(state, alice, bob)
     tampered = replace(get_submit(state.store, shared), submit_message="evil")
     state.store._records[shared] = canonical_encode(tampered)
-    verifier = Verifier(state.store)
     for branch in (core, left, right):
-        verdict = verifier.verify(branch)
+        verdict = verify_branch(branch, state.store)
         assert ("submit-id-mismatch", shared.hex) in verdict.failures
-        assert verdict.failures == verify_branch(branch, state.store).failures
-    assert shared not in verifier.verified  # failures are never remembered
+        assert verdict.failures == verify_branch(branch, _cold_copy(state.store)).failures
+    assert shared not in state.store.verified  # failures are never remembered
 
 
 def test_missing_shared_record_is_reported_for_every_branch(state, alice, bob):
@@ -487,62 +522,79 @@ def test_missing_shared_record_is_reported_for_every_branch(state, alice, bob):
     for cid in state.store.ids():
         if cid != arrangement:
             copy.put(state.store.get(cid))
-    verifier = Verifier(copy)
     for branch in (left, core, right):
-        verdict = verifier.verify(branch)
+        verdict = verify_branch(branch, copy)
         assert verdict.failures == [("missing-record", arrangement.hex)]
-    # once the record arrives the same verifier passes the branches
+    # once the record arrives the same store passes the branches
     copy.put(state.store.get(arrangement))
-    assert all(verifier.verify(branch).ok for branch in (core, left, right))
+    assert all(verify_branch(branch, copy).ok for branch in (core, left, right))
 
 
 def test_verifier_walks_only_what_it_has_not_passed(state, alice, bob):
     core, left, right, shared = _shared_history(state, alice, bob)
-    verifier = Verifier(state.store)
-    assert verifier.verify(core).ok
-    passed = set(verifier.verified)
+    assert verify_branch(core, state.store).ok
+    passed = set(state.store.verified)
     assert shared in passed and len(passed) == 3  # the singularity and the two pushes
-    assert verifier.verify(left).ok
-    assert verifier.verified - passed == {left.initial_head, left.stable_head}
+    assert verify_branch(left, state.store).ok
+    assert state.store.verified - passed == {left.initial_head, left.stable_head}
 
 
 def test_timestamp_regression_at_the_verified_boundary(state, alice):
     branch = create_genesis_branch(state, twig_config(), alice, tick(5))
-    verifier = Verifier(state.store)
-    assert verifier.verify(branch).ok
+    assert verify_branch(branch, state.store).ok
     head = get_submit(state.store, branch.stable_head)
     bad = Submit(branch.stable_head, "back in time", head.trie_root, SubmitTrace(), tick(1))
     state.store.put_object(bad)
     branch.stable_head = submit_id(bad)
-    verdict = verifier.verify(branch)
+    verdict = verify_branch(branch, state.store)
     assert verdict.failures == [("timestamp-regression", submit_id(bad).hex)]
-    assert verdict.failures == verify_branch(branch, state.store).failures
+    assert verdict.failures == verify_branch(branch, _cold_copy(state.store)).failures
+
+
+def _finished_world(kind):
+    from lakat.scenario import Runner, parse_scenario
+
+    if kind == "fuzz":
+        from fuzz_driver import FuzzRun
+
+        return FuzzRun(7).run(1500).world
+    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", f"{kind}.json")
+    with open(path) as fh:
+        runner = Runner(parse_scenario(fh.read()))
+    runner.run()
+    return runner.world
 
 
 def test_verifying_twice_gives_identical_verdicts_and_sprouts_still_mismatch():
     """fig5a converts a sprout, whose id was hashed with the null parent, so
-    it fails with branch-id-mismatch; a second pass of the same verifiers, and
-    a fresh verifier per branch, give the same verdicts for every branch."""
-    import os
-
-    from lakat.scenario import Runner, parse_scenario
-
-    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "fig5a.json")
-    with open(path) as fh:
-        runner = Runner(parse_scenario(fh.read()))
-    runner.run()
+    it fails with branch-id-mismatch; a second pass over the same store, and
+    a pass over a cold copy of it, give the same verdicts for every branch."""
     mismatched = 0
-    for peer in runner.world.peers.values():
+    for peer in _finished_world("fig5a").peers.values():
         state = peer.state
-        verifier = Verifier(state.store)
-        first = {bid: verifier.verify(branch).failures for bid, branch in state.branches.items()}
-        second = {bid: verifier.verify(branch).failures for bid, branch in state.branches.items()}
-        fresh = {bid: verify_branch(branch, state.store).failures for bid, branch in state.branches.items()}
+        first = {bid: verify_branch(branch, state.store).failures for bid, branch in state.branches.items()}
+        second = {bid: verify_branch(branch, state.store).failures for bid, branch in state.branches.items()}
+        cold = _cold_copy(state.store)
+        fresh = {bid: verify_branch(branch, cold).failures for bid, branch in state.branches.items()}
         assert first == second == fresh
         for bid, failures in first.items():
             assert failures in ([], [("branch-id-mismatch", bid.hex)])
             mismatched += bool(failures)
     assert mismatched == 3  # the converted sprout, on each of the three peers
+
+
+@pytest.mark.parametrize("kind", ["fuzz", "fig5a", "fig5b"])
+def test_live_store_verdicts_equal_a_cold_copy(kind):
+    """Every memo a run leaves in a peer's store gives the verdicts a store
+    with no memo gives, for every branch of every peer."""
+    checked = 0
+    for peer in _finished_world(kind).peers.values():
+        store = peer.state.store
+        cold = _cold_copy(store)
+        for branch in peer.state.branches.values():
+            assert verify_branch(branch, store).failures == verify_branch(branch, cold).failures
+            checked += 1
+    assert checked >= 6
 
 
 def test_early_exit_membership_agrees_with_closure_through_fuzz_run():

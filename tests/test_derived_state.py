@@ -16,7 +16,7 @@ from lakat.scenario import Runner, parse_scenario
 from lakat.sim import World
 from lakat.state import ProtocolState
 from lakat.store import MemoryStore
-from lakat import lignify as lignify_mod, ops as ops_mod, scenario as scenario_mod
+from lakat import branch as branch_mod, lignify as lignify_mod, ops as ops_mod, scenario as scenario_mod
 
 import fuzz_driver
 from conftest import tick, twig_config
@@ -160,7 +160,7 @@ def test_merge_index_equals_the_closure_walk_on_random_histories(data):
         submits.append(state.store.put_object(Submit(parent, str(index), NULL_ID, trace,
                                                      LogicalTimestamp(index))))
     for cid in data.draw(st.permutations(submits)):
-        assert state._merge_index(cid) == _closure_entry(state.store, cid)
+        assert branch_mod._merge_index(state.store, cid) == _closure_entry(state.store, cid)
 
 
 def test_merge_index_entries_equal_the_closure_walk():
@@ -173,7 +173,7 @@ def test_merge_index_entries_equal_the_closure_walk():
         except CodecError:
             continue  # raw record bytes, such as a public key
         if isinstance(record, Submit):
-            assert state._merge_index(cid) == _closure_entry(state.store, cid), cid.hex[:10]
+            assert branch_mod._merge_index(state.store, cid) == _closure_entry(state.store, cid), cid.hex[:10]
             checked += 1
     assert checked > 150 and _merges(run) >= 10
 

@@ -3,7 +3,9 @@ import os
 
 import pytest
 
+from lakat.branch import Submit, SubmitTrace, get_submit
 from lakat.cli import main as cli_main
+from lakat.codec import ContentId
 from lakat.scenario import (
     Runner,
     ScenarioError,
@@ -12,6 +14,7 @@ from lakat.scenario import (
     run,
     verify_dump,
 )
+from lakat.store import MemoryStore, open_log, read_log, write_log
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -137,8 +140,17 @@ def test_cli_malformed_actor_exits_2(tmp_path, capsys, actors):
     (lambda s: s["sim"].update(latency=5), "latency must be"),
     (lambda s: s["steps"][2].update(ticks=-5), "step 2: ticks must be a non-negative integer"),
     (lambda s: s["steps"][2].update(ticks="2"), "step 2: ticks must be a non-negative integer"),
+    (lambda s: s["steps"][4].pop("equals"), "step 4: directive 'expect' is missing field 'equals'"),
+    (lambda s: s["steps"].append({"op": "expect", "that": "stable_head", "branch": "solo"}),
+     "step 5: directive 'expect' is missing field 'equals_sprout_head'"),
+    (lambda s: s["steps"][3].update(that="colour"), "step 3: unknown expectation 'colour'"),
+    (lambda s: s["steps"][0].update(config={"colour": 1}), "step 0: unknown config field 'colour'"),
+    (lambda s: s["steps"][0].update(config=[1]), "step 0: config must be an object"),
+    (lambda s: s["steps"][0].update(config={"acceptance_rule": 5}),
+     "step 0: create_branch rejected: config unreadable: AttributeError"),
 ], ids=["step-string", "step-list", "uniform-reversed", "uniform-short", "fixed-string", "latency-number",
-        "ticks-negative", "ticks-string"])
+        "ticks-negative", "ticks-string", "expect-without-equals", "expect-without-sprout-head",
+        "expect-unknown", "config-unknown-field", "config-not-object", "config-unreadable"])
 def test_cli_malformed_step_or_latency_exits_2(tmp_path, capsys, edit, message):
     scenario = json.loads(MINIMAL)
     edit(scenario)
@@ -208,6 +220,25 @@ def _head_on_trie_root(headers, peer_dir):
         header["stable_head"] = roots[bid_hex]  # a record in the store that is not a submit
 
 
+def _head_on_garbage_trie(peer_dir):
+    """Each head gains a child submit whose trie root names a stored record
+    that is not a trie node."""
+    store = MemoryStore()
+    with open_log(str(peer_dir / "store.log")) as fh:
+        for _, _, data, _ in read_log(fh):
+            store.put(data)
+    garbage = store.put(b"\xff garbage")
+    headers = json.loads((peer_dir / "headers.json").read_text())
+    for header in headers.values():
+        head = ContentId.from_hex(header["stable_head"])
+        child = Submit(head, "bad trie", garbage, SubmitTrace(), get_submit(store, head).timestamp)
+        header["stable_head"] = store.put_object(child).hex
+    with open_log(str(peer_dir / "store.log"), "w") as fh:
+        write_log(fh, store)
+    (peer_dir / "headers.json").write_text(json.dumps(headers))
+    (peer_dir / "trie_roots.json").write_text(json.dumps({bid: garbage.hex for bid in headers}))
+
+
 @pytest.mark.parametrize("edit, line", [
     (lambda d: (d / "headers.json").write_text("{not json"), "p1: headers.json is not a JSON object"),
     (lambda d: (d / "headers.json").write_text("[]"), "p1: headers.json is not a JSON object"),
@@ -222,8 +253,9 @@ def _head_on_trie_root(headers, peer_dir):
     (_edit_json("headers.json", lambda h, _: [e.update(branch_token=5) for e in h.values()]),
      "header unreadable: TypeError"),
     (_edit_json("headers.json", _head_on_trie_root), "fails: ['history-integrity']"),
+    (_head_on_garbage_trie, "trie unreadable: truncated salted leaf record"),
 ], ids=["headers-not-json", "headers-list", "roots-not-utf8", "roots-string", "header-missing-key",
-        "header-bad-hex", "header-short-id", "header-wrong-type", "head-not-a-submit"])
+        "header-bad-hex", "header-short-id", "header-wrong-type", "head-not-a-submit", "trie-root-garbage"])
 def test_cli_verify_reports_bad_dump_file_in_one_line(tmp_path, capsys, edit, line):
     dump_dir = _dump_minimal(tmp_path, capsys)
     edit(dump_dir / "p1")
