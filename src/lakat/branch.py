@@ -15,6 +15,7 @@ from fractions import Fraction
 from .codec import (
     CodecError,
     ContentId,
+    LakatError,
     LogicalTimestamp,
     NULL_ID,
     canonical_encode,
@@ -29,9 +30,11 @@ from . import trie as trie_mod
 
 PROPER, TWIG, SPROUT = "proper", "twig", "sprout"
 BRANCH_TYPES = (PROPER, TWIG, SPROUT)
+ACCEPTANCE_KINDS = ("no_rejections", "fraction")
+_COUNTS = ("min_reviewers", "min_review_rounds", "lignification_time", "engagement_time", "broadcasting_buffer")
 
 
-class BranchError(Exception):
+class BranchError(LakatError):
     pass
 
 
@@ -81,10 +84,31 @@ class BranchConfig:
     stale_after_merge: bool = True
 
     def __post_init__(self):
-        if isinstance(self.accepted_proofs, list):
+        """The one check of config values, for scenario, gossip and dump
+        input alike; raises BranchError.  Kept cheap: gossip builds a config
+        for every header it reads."""
+        if type(self.accepted_proofs) is list:
             object.__setattr__(self, "accepted_proofs", tuple(self.accepted_proofs))
         if self.branch_type not in BRANCH_TYPES:
             raise BranchError(f"unknown branch type {self.branch_type!r}")
+        for name in ("accept_conflicts", "stale_after_merge"):
+            if type(getattr(self, name)) is not bool:
+                raise BranchError(f"{name} must be true or false")
+        proofs = self.accepted_proofs
+        if type(proofs) is not tuple or not all(map(CONTRIBUTION_KINDS.__contains__, proofs)):
+            raise BranchError(f"accepted_proofs must list kinds of {CONTRIBUTION_KINDS}")
+        for name in _COUNTS:
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise BranchError(f"{name} must be a non-negative integer, not {value!r}")
+        rule = self.acceptance_rule
+        if type(rule) is not AcceptanceRule or rule.kind not in ACCEPTANCE_KINDS:
+            raise BranchError(f"acceptance_rule must be one of {ACCEPTANCE_KINDS}")
+        for name, ratio in (("acceptance_rule fraction", rule.fraction),
+                            ("twig_merge_fraction", self.twig_merge_fraction)):
+            if not (type(ratio) is Rational and type(ratio.num) is int and type(ratio.den) is int
+                    and ratio.num >= 0 and ratio.den > 0):
+                raise BranchError(f"{name} must be [num, den] with num >= 0 and den > 0")
 
     def to_json(self) -> dict:
         return {
@@ -349,10 +373,8 @@ class ContributorSet:
     def kind(self, name: str) -> dict:
         return getattr(self, name)
 
-    def add(self, kind: str, key: bytes, proof: ContributionProof | None = None):
-        proofs = self.kind(kind).setdefault(key, [])
-        if proof is not None and proof not in proofs:
-            proofs.append(proof)
+    def add(self, kind: str, key: bytes):
+        self.kind(kind).setdefault(key, [])
 
     def has(self, key: bytes, kind: str | None = None) -> bool:
         kinds = [kind] if kind else ["content", "review", "token", "storage"]
@@ -740,6 +762,10 @@ def verify_branch(branch: Branch, store: Store) -> BranchVerdict:
             verdict.fail(failure[0], failure[1] or cid.hex)
     if len(verdict.failures) == held:
         store.verified.update(walked)
-    if not branch.config.accept_conflicts and detect_conflicts(branch, store):
-        verdict.fail("conflict-policy", "conflicts present but not accepted")
+    if not branch.config.accept_conflicts:
+        try:
+            if detect_conflicts(branch, store):
+                verdict.fail("conflict-policy", "conflicts present but not accepted")
+        except (CodecError, IntegrityError) as exc:  # a belt tip names a non-submit or undecodable record
+            verdict.fail("history-integrity", str(exc))
     return verdict

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from .codec import (
     CodecError,
     ContentId,
+    LakatError,
     LogicalTimestamp,
     canonical_encode,
     content_id,
@@ -29,7 +30,7 @@ SCHEMA_ATOMIC = 0
 SCHEMA_MOLECULAR = 1
 
 
-class BucketError(Exception):
+class BucketError(LakatError):
     pass
 
 
@@ -39,6 +40,10 @@ class DanglingReference(BucketError):
 
 class ImmutableFieldError(BucketError):
     """Attempt to rewrite a write-once bucket info field."""
+
+
+class BadArrangement(BucketError):
+    """A molecular bucket's arrangement record is not a list of ids."""
 
 
 @protocol_struct(2)
@@ -215,7 +220,10 @@ def is_molecular(bucket: Bucket) -> bool:
 def arrangement_of(store: Store, bucket: Bucket) -> list[ContentId]:
     if not is_molecular(bucket):
         raise BucketError("not a molecular bucket")
-    return list(store.get_object(bucket.data_root))
+    arrangement = store.get_object(bucket.data_root)
+    if type(arrangement) is not list or not all(type(member) is ContentId for member in arrangement):
+        raise CodecError(f"arrangement {bucket.data_root.hex} is not a list of ids")
+    return list(arrangement)
 
 
 def validate_refs(bucket: Bucket, payload: bytes, refs: list[ContentId]) -> bool:
@@ -235,7 +243,8 @@ def check_context_membership(
     """Every new atomic bucket must sit in some molecular arrangement.
 
     Molecular context may come from the same submit or from buckets already
-    in the store.
+    in the store.  Raises BadArrangement for a molecular bucket of the submit
+    whose arrangement is not a list of ids; the store scan skips such buckets.
     """
     needing_context = set()
     for cid in new_bucket_ids:
@@ -247,19 +256,21 @@ def check_context_membership(
     if not needing_context:
         return True
     contexted = set()
-    for bucket in submit_buckets.values():
+    for cid, bucket in submit_buckets.items():
         if is_molecular(bucket):
-            contexted.update(arrangement_of(store, bucket))
+            try:
+                contexted.update(arrangement_of(store, bucket))
+            except CodecError as exc:
+                raise BadArrangement(cid.hex) from exc
     if needing_context <= contexted:
         return True
     for cid in store.ids():
-        obj = None
         try:
             obj = store.get_object(cid)
+            if isinstance(obj, Bucket) and is_molecular(obj):
+                contexted.update(arrangement_of(store, obj))
         except CodecError:
             continue
-        if isinstance(obj, Bucket) and is_molecular(obj):
-            contexted.update(arrangement_of(store, obj))
     return needing_context <= contexted
 
 
@@ -268,8 +279,8 @@ def check_new_buckets(store: Store, new_bucket_ids) -> tuple[str, str] | None:
     verify_branch alike: load each one, then check context membership.
     Returns None on a pass, else the (code, detail) of the first failure:
     missing-bucket, not-a-bucket (a record that is not a bucket or does not
-    decode), missing-record (an arrangement record of a molecular bucket) or
-    context-membership."""
+    decode), missing-record (an arrangement record of a molecular bucket),
+    bad-arrangement (one that is not a list of ids) or context-membership."""
     submit_buckets = {}
     for cid in new_bucket_ids:
         try:
@@ -286,6 +297,8 @@ def check_new_buckets(store: Store, new_bucket_ids) -> tuple[str, str] | None:
             return "context-membership", ""
     except MissingRecord as exc:
         return "missing-record", str(exc)
+    except BadArrangement as exc:
+        return "bad-arrangement", str(exc)
     return None
 
 

@@ -26,7 +26,11 @@ _K_STRUCT = 0x06
 _K_BOOL = 0x07
 
 
-class CodecError(Exception):
+class LakatError(Exception):
+    """Base of every error the engine raises for input it refuses."""
+
+
+class CodecError(LakatError):
     """Value cannot be canonically encoded or bytes cannot be decoded."""
 
 
@@ -97,8 +101,8 @@ class LogicalTimestamp:
     anchor: bytes | None = None
 
     def __post_init__(self):
-        if self.tick < 0:
-            raise CodecError("tick must be non-negative")
+        if type(self.tick) is not int or self.tick < 0:
+            raise CodecError("tick must be a non-negative integer")
 
 
 # struct registry: type code <-> dataclass
@@ -217,17 +221,6 @@ def _encode_value(out: bytearray, value) -> None:
         raise CodecError(f"unencodable value kind: {type(value).__name__}")
 
 
-def _field_check_errors() -> tuple:
-    """What a struct's constructor raises when decoded fields fail its own
-    checks (__post_init__) or have the wrong types.  Imported on use: those
-    modules import this one."""
-    from .branch import BranchError
-    from .lignify import LignificationError
-    from .trie import TrieError
-
-    return (BranchError, LignificationError, TrieError, CodecError, TypeError, ValueError)
-
-
 def _decode_value(data: bytes, pos: int):
     if pos >= len(data):
         raise CodecError("truncated value")
@@ -286,7 +279,7 @@ def _decode_value(data: bytes, pos: int):
                 raise CodecError(f"{cls.__name__}.{name} must hold a list of ContentId")
         try:
             return cls(*values), pos
-        except _field_check_errors() as exc:
+        except (LakatError, TypeError, ValueError) as exc:  # fields fail __post_init__ or are mistyped
             raise CodecError(f"invalid {cls.__name__} fields: {exc}") from exc
     raise CodecError(f"unknown value kind tag {kind:#x}")
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .codec import ContentId, LogicalTimestamp, NULL_ID, protocol_struct
+from .codec import ContentId, LakatError, LogicalTimestamp, NULL_ID, protocol_struct
 from .identity import verify_signature
 from .branch import (
     Branch,
+    BranchConfig,
     PROPER,
     SPROUT,
     SelectionEntry,
@@ -27,7 +28,7 @@ from .branch import (
 from .state import OK, ProtocolState, Verdict
 
 
-class LignificationError(Exception):
+class LignificationError(LakatError):
     pass
 
 
@@ -37,21 +38,6 @@ class InvalidRooting(LignificationError):
 
 class PrematureConversion(LignificationError):
     """Sprout asked to convert before losing a contest."""
-
-
-@dataclass(frozen=True)
-class LignificationParams:
-    broadcasting_buffer: int
-    lignification_time: int
-    engagement_time: int
-
-    def __post_init__(self):
-        if min(self.broadcasting_buffer, self.lignification_time, self.engagement_time) < 0:
-            raise LignificationError("windows must be non-negative")
-
-    @classmethod
-    def from_config(cls, config) -> "LignificationParams":
-        return cls(config.broadcasting_buffer, config.lignification_time, config.engagement_time)
 
 
 @protocol_struct(20)
@@ -124,9 +110,9 @@ def wrap_merge_in_sprout(
     submit = get_submit(state.store, merge_submit)
     if submit.parent != rooting.stable_head:
         raise InvalidRooting("merge submit parent must equal the head of the rooting branch")
-    existing = compute_branch_id(NULL_ID, now, merge_submit)
-    if existing in state.wraps:
-        return state.wraps[existing]
+    branch_id = compute_branch_id(NULL_ID, now, merge_submit)
+    if branch_id in state.wraps:
+        return state.wraps[branch_id]
     if rooting.branch_type == SPROUT:
         core = ascend_to_core(state, rooting)
         if core is None:
@@ -137,7 +123,6 @@ def wrap_merge_in_sprout(
     else:
         raise InvalidRooting("merge submits wrap onto proper branches or their sprouts")
     sprout_config = replace(core.config, branch_type=SPROUT)
-    branch_id = compute_branch_id(NULL_ID, now, merge_submit)
     sprout = Branch(
         branch_id=branch_id,
         parent_branch=NULL_ID,
@@ -207,12 +192,12 @@ def default_successor(state: ProtocolState, branch: Branch) -> ContentId | None:
     return min(known)[1]
 
 
-def _window_end(open_tick: int, params: LignificationParams) -> int:
-    return open_tick + params.lignification_time + params.broadcasting_buffer
+def _window_end(open_tick: int, config: BranchConfig) -> int:
+    return open_tick + config.lignification_time + config.broadcasting_buffer
 
 
-def _voting_end(open_tick: int, params: LignificationParams) -> int:
-    return open_tick + params.lignification_time + params.engagement_time + params.broadcasting_buffer
+def _voting_end(open_tick: int, config: BranchConfig) -> int:
+    return open_tick + config.lignification_time + config.engagement_time + config.broadcasting_buffer
 
 
 def register_veto(state: ProtocolState, core_id: ContentId, veto: Veto, now: LogicalTimestamp) -> Verdict:
@@ -229,8 +214,7 @@ def register_veto(state: ProtocolState, core_id: ContentId, veto: Veto, now: Log
     open_tick = contest_open_tick(state, owner)
     if open_tick is None:
         return Verdict.fail("no-contest")
-    params = LignificationParams.from_config(core.config)
-    if now.tick > _window_end(open_tick, params):
+    if now.tick > _window_end(open_tick, core.config):
         return Verdict.fail("veto-window-closed")
     entry = owner.selection_entry(veto.sprout)
     if veto not in entry.vetoes:
@@ -256,8 +240,7 @@ def cast_vote(state: ProtocolState, core_id: ContentId, vote: Vote, now: Logical
     open_tick = contest_open_tick(state, owner)
     if open_tick is None:
         return Verdict.fail("no-contest")
-    params = LignificationParams.from_config(core.config)
-    if now.tick > _voting_end(open_tick, params):
+    if now.tick > _voting_end(open_tick, core.config):
         return Verdict.fail("engagement-window-closed")
     entry = owner.selection_entry(vote.sprout)
     if vote not in entry.votes:
@@ -353,7 +336,6 @@ def lignify(
     core = state.branches.get(core_id)
     if core is None:
         raise LignificationError("unknown core branch")
-    params = LignificationParams.from_config(core.config)
     if now is None:
         raise LignificationError("current tick required")
     trigger_sprout = None
@@ -379,7 +361,7 @@ def lignify(
         selection = holder.sprout_selection
         # an unresolved contender counts as still within its window
         all_within = all(
-            tick is None or now.tick <= tick + params.lignification_time + params.broadcasting_buffer
+            tick is None or now.tick <= _window_end(tick, core.config)
             for e in selection
             for tick in (_creation_tick(state, e.sprout),)
         )
@@ -390,7 +372,7 @@ def lignify(
         vetoed = any(entry.vetoes for entry in selection)
         open_tick = contest_open_tick(state, holder)
         if vetoed and open_tick is not None:
-            if now.tick > _voting_end(open_tick, params):
+            if now.tick > _voting_end(open_tick, core.config):
                 winner = vote_winner(state, holder)
                 if child.branch_id != winner:
                     _oust_losers(state, holder, reference, keep=winner, skip=child.branch_id)
@@ -430,9 +412,7 @@ def _oust_losers(state: ProtocolState, holder: Branch, reference: Branch, keep: 
 def _donate(state: ProtocolState, reference: Branch, holder: Branch, child: Branch):
     """The winning child's head, selection, and sprout set move up into the
     reference branch; rival sprouts at this level become ousted."""
-    for entry in holder.sprout_selection:
-        if entry.sprout != child.branch_id:
-            state.ousted.setdefault(entry.sprout, reference.branch_id)
+    _oust_losers(state, holder, reference, keep=None, skip=child.branch_id)
     reference.stable_head = child.stable_head
     reference.sprout_selection = list(child.sprout_selection)
     child.sprout_selection = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .codec import ContentId, LogicalTimestamp, NULL_ID
+from .codec import ContentId, LakatError, LogicalTimestamp, NULL_ID
 from .identity import KeyIdentity, make_contribution_proof
 from .bucket import arrangement_of, is_molecular
 from .branch import (
@@ -31,13 +31,13 @@ from .branch import (
     submit_id,
     verify_branch,
 )
-from .review import PullRequest, check_maturity, merge_ready
+from .review import PullRequest, check_maturity, merge_ready, twig_merge_vote
 from .state import ProtocolState
 from .store import Store
 from . import trie as trie_mod
 
 
-class BranchOpError(Exception):
+class BranchOpError(LakatError):
     pass
 
 
@@ -238,8 +238,6 @@ def execute_merge(
     if core.branch_type == TWIG:
         if plan.root_at != plan.core:
             raise InvalidMerge("twig merges apply to the twig head directly")
-        from .review import twig_merge_vote
-
         counted = approvals if approvals is not None else {author.public_key}
         verdict, cid = twig_merge_vote(state, plan.core, merge_submit, counted)
         if not verdict.ok:

@@ -5,6 +5,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from .codec import LakatError
+
 CHANNELS = (
     "submit_requests",
     "pull_requests",
@@ -19,7 +21,7 @@ CHANNELS = (
 DEFAULT_CAPACITY = 64
 
 
-class UnknownChannel(Exception):
+class UnknownChannel(LakatError):
     pass
 
 

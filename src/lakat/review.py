@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codec import ContentId, LogicalTimestamp, NULL_ID, protocol_struct
+from .codec import ContentId, LakatError, LogicalTimestamp, NULL_ID, protocol_struct
 from .identity import ContributionProof, KeyIdentity, make_contribution_proof
 from .bucket import InfoDelta, attach_info, arrangement_of, create_atomic_bucket, create_molecular_bucket, fresh_info
 from .branch import (
@@ -64,7 +64,7 @@ class PullRequest:
     carrier_submit: ContentId
 
 
-class AuthorizationError(Exception):
+class AuthorizationError(LakatError):
     pass
 
 

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import asdict, dataclass, field, fields, replace
 
-from .codec import CodecError, ContentId
+from .codec import CodecError, ContentId, LakatError
 from .identity import KeyIdentity, make_contribution_proof
 from .branch import (
     Branch,
     BranchConfig,
-    BranchError,
     IntegrityError,
     PROPER,
     TWIG,
@@ -27,43 +27,63 @@ from .branch import (
     submit_id,
     verify_branch,
 )
-from .bucket import BucketError
-from .lignify import LignificationError, lignify, register_veto, cast_vote, wrap_merge_in_sprout
-from .ops import BranchOpError, create_genesis_branch, create_rooted_branch, execute_merge, plan_merge
-from .review import AuthorizationError, PullRequest, commit_review, create_pull_request, submit_review, twig_push
+from .lignify import lignify, register_veto, cast_vote, wrap_merge_in_sprout
+from .ops import create_genesis_branch, create_rooted_branch, execute_merge, plan_merge
+from .review import PullRequest, commit_review, create_pull_request, submit_review, twig_push
 from .sim import SimConfig, World, route_request
 from .state import ProtocolState, build_content_submit
-from .store import MemoryStore, MissingRecord, StoreError, open_log, read_log, write_log
+from .store import MemoryStore, MissingRecord, open_log, read_log, write_log
 from . import trie as trie_mod
 
-DIRECTIVES = (
-    "create_branch",
-    "submit",
-    "pull_request",
-    "commit_review",
-    "review",
-    "merge",
-    "veto",
-    "vote",
-    "advance_ticks",
-    "expect",
-)
-EXPECTATIONS = {  # expect kind -> the fields it reads
-    "stable_head": ("branch", "equals_sprout_head"),
-    "branch_rooted": ("branch", "parent"),
-    "headers_converged": ("branch",),
-    "contributor": ("branch", "actor"),
-    "bucket_count": ("branch", "equals"),
-    "branch_verifies": ("branch",),
-    "quiescent": (),
+# op -> {field: kind}; a field marked "?" may be left out.  A kind is a noun
+# of NOUNS (a name declared by an earlier field; a "branch" may also name a
+# sprout), "new <noun>" (declares the name), a kind of VALUES or CHOICES,
+# "config" (an object whose keys are BranchConfig fields), or "<kind> list".
+DIRECTIVES = {
+    "create_branch": {"creator": "actor", "type": "branch type", "parent?": "branch", "config?": "config",
+                      "token?": "hex", "name": "new branch"},
+    "submit": {"branch": "branch", "author": "actor", "payload": "text", "message?": "text"},
+    "pull_request": {"issuing": "branch", "requesting": "branch", "target": "branch", "author": "actor",
+                     "name": "new pull request"},
+    "commit_review": {"pr": "pull request", "reviewer": "actor"},
+    "review": {"pr": "pull request", "reviewer": "actor", "verdict": "text", "text?": "text"},
+    "merge": {"core": "branch", "belt": "branch", "author": "actor", "pr?": "pull request",
+              "root_at?": "branch", "approvals?": "actor list", "as?": "new sprout"},
+    "veto": {"core": "branch", "sprout": "sprout", "by": "actor"},
+    "vote": {"core": "branch", "sprout": "sprout", "by": "actor"},
+    "advance_ticks": {"ticks": "count"},
+    "expect": {"that": "expectation"},
+}
+EXPECTATIONS = {  # expect kind -> the further fields it reads, as in DIRECTIVES
+    "stable_head": {"branch": "branch", "equals_sprout_head": "sprout"},
+    "branch_rooted": {"branch": "branch", "parent": "branch", "branch_type?": "text"},
+    "headers_converged": {"branch": "branch"},
+    "contributor": {"branch": "branch", "actor": "actor", "kind?": "contribution kind", "present?": "bool"},
+    "bucket_count": {"branch": "branch", "equals": "count"},
+    "branch_verifies": {"branch": "branch"},
+    "quiescent": {},
+}
+SIM = {"seed?": "count", "peers?": "new peer list"}  # latency is read apart; schedule entries are SCHEDULE
+SCHEDULE = {"tick": "count", "peer": "peer", "action": "schedule action"}
+ACTOR = {"name": "new actor", "peer": "peer"}
+NOUNS = ("peer", "actor", "branch", "pull request", "sprout")
+VALUES = {  # kind -> (test, what a value must be); counts stay far inside the codec's 64-bit ticks
+    "text": (lambda value: isinstance(value, str), "a string"),
+    "bool": (lambda value: type(value) is bool, "true or false"),
+    "count": (lambda value: type(value) is int and 0 <= value < 2**32, "a non-negative integer below 2**32"),
+    "hex": (lambda value: isinstance(value, str) and re.fullmatch("(?:[0-9a-fA-F]{2})*", value), "hex"),
+}
+CHOICES = {
+    "directive": tuple(DIRECTIVES),
+    "expectation": tuple(EXPECTATIONS),
+    "branch type": (TWIG, PROPER),
+    "contribution kind": ("content", "review", "token", "storage"),
+    "schedule action": ("join", "leave"),
 }
 CONFIG_FIELDS = {f.name for f in fields(BranchConfig)}
 QUIESCENCE_TICKS = 100_000  # a run whose events reach past this many ticks is NonQuiescent
-# what the engine raises when it refuses a step; Runner.run names the step
-ENGINE_ERRORS = (BranchOpError, LignificationError, AuthorizationError, BranchError, BucketError,
-                 StoreError, trie_mod.TrieError, CodecError)
 # what reading a branch header or config from JSON raises when it is malformed
-HEADER_ERRORS = (KeyError, TypeError, ValueError, AttributeError, CodecError)
+HEADER_ERRORS = (LakatError, KeyError, TypeError, ValueError, AttributeError)
 
 
 class ScenarioError(Exception):
@@ -76,7 +96,6 @@ class Scenario:
     peers: list
     actors: list  # (name, peer)
     steps: list
-    source: dict
 
 
 @dataclass
@@ -94,24 +113,17 @@ class RunReport:
         return {**asdict(self), "ok": self.ok}
 
 
-def _need(step: dict, index: int, *keys):
-    for key in keys:
-        if key not in step:
-            raise ScenarioError(f"step {index}: directive {step.get('op')!r} is missing field {key!r}")
-
-
 def parse_scenario(text: str) -> Scenario:
-    """Validate structure and name discipline before anything runs."""
+    """Check structure, field kinds and name discipline before anything runs."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
+    names = {noun: set() for noun in NOUNS}
     sim_spec = data.get("sim", {})
-    peers = list(sim_spec.get("peers", []))
-    if len(set(peers)) != len(peers):
-        raise ScenarioError("duplicate peer names")
+    _check_fields("sim", "sim", sim_spec, SIM, names)
     latency_spec = sim_spec.get("latency", {"fixed": 1})
     try:
         if "fixed" in latency_spec:
@@ -119,124 +131,71 @@ def parse_scenario(text: str) -> Scenario:
         else:
             low, high = (int(bound) for bound in latency_spec["uniform"])
             latency = ("uniform", low, high)
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise ScenarioError("latency must be {'fixed': k} or {'uniform': [a, b]}") from None
     if latency[0] == "uniform" and low > high:
         raise ScenarioError(f"latency uniform [{low}, {high}] needs a <= b")
-    schedule = tuple(
-        (int(item["tick"]), item["peer"], item["action"]) for item in sim_spec.get("schedule", ())
-    )
-    for _, peer, action in schedule:
-        if peer not in peers:
-            raise ScenarioError(f"schedule references undeclared peer {peer!r}")
-        if action not in ("join", "leave"):
-            raise ScenarioError(f"schedule action must be join or leave, not {action!r}")
-    sim = SimConfig(int(sim_spec.get("seed", 0)), latency, schedule)
-    actors = []
-    actor_names = set()
-    actor_entries = data.get("actors", [])
-    if not isinstance(actor_entries, list):
-        raise ScenarioError("actors must be a list")
-    for index, entry in enumerate(actor_entries):
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"actor {index}: must be an object with name and peer")
-        for key in ("name", "peer"):
-            if not isinstance(entry.get(key), str):
-                raise ScenarioError(f"actor {index}: {key!r} must be a string")
-        name, peer = entry["name"], entry["peer"]
-        if peer not in peers:
-            raise ScenarioError(f"actor {name!r} assigned to undeclared peer {peer!r}")
-        if name in actor_names:
-            raise ScenarioError(f"duplicate actor {name!r}")
-        actor_names.add(name)
-        actors.append((name, peer))
-    steps = data.get("steps", [])
-    branch_names, pr_names, sprout_names = set(), set(), set()
-
-    def check_actor(step, index, key="author"):
-        if step[key] not in actor_names:
-            raise ScenarioError(f"step {index}: undeclared actor {step[key]!r}")
-
-    def check_branch(step, index, key):
-        if step[key] not in branch_names and step[key] not in sprout_names:
-            raise ScenarioError(f"step {index}: undeclared branch {step[key]!r}")
-
+    schedule, actors, steps = sim_spec.get("schedule", []), data.get("actors", []), data.get("steps", [])
+    for key, entries in (("schedule", schedule), ("actors", actors), ("steps", steps)):
+        if not isinstance(entries, list):
+            raise ScenarioError(f"{key} must be a list")
+    for label, spec, entries in (("schedule", SCHEDULE, schedule), ("actor", ACTOR, actors)):
+        for index, entry in enumerate(entries):
+            _check_fields(f"{label} {index}", label, entry, spec, names)
+    sim = SimConfig(sim_spec.get("seed", 0), latency, tuple((e["tick"], e["peer"], e["action"]) for e in schedule))
     for index, step in enumerate(steps):
-        if not isinstance(step, dict):
-            raise ScenarioError(f"step {index}: must be an object with an op")
-        op = step.get("op")
-        if op not in DIRECTIVES:
-            raise ScenarioError(f"step {index}: unknown directive {op!r}")
-        if op == "create_branch":
-            _need(step, index, "name", "creator", "type")
-            check_actor(step, index, "creator")
-            if step["type"] not in (TWIG, PROPER):
-                raise ScenarioError(f"step {index}: branch type must be twig or proper")
-            config = step.get("config", {})
-            if not isinstance(config, dict):
-                raise ScenarioError(f"step {index}: config must be an object")
-            for key in config:
-                if key not in CONFIG_FIELDS:
-                    raise ScenarioError(f"step {index}: unknown config field {key!r}")
-            if step.get("parent") is not None:
-                check_branch(step, index, "parent")
-            if step["name"] in branch_names:
-                raise ScenarioError(f"step {index}: duplicate branch name {step['name']!r}")
-            branch_names.add(step["name"])
-        elif op == "submit":
-            _need(step, index, "branch", "author", "payload")
-            check_actor(step, index)
-            check_branch(step, index, "branch")
-        elif op == "pull_request":
-            _need(step, index, "name", "issuing", "requesting", "target", "author")
-            check_actor(step, index)
-            for key in ("issuing", "requesting", "target"):
-                check_branch(step, index, key)
-            if step["name"] in pr_names:
-                raise ScenarioError(f"step {index}: duplicate pull request name {step['name']!r}")
-            pr_names.add(step["name"])
-        elif op == "commit_review":
-            _need(step, index, "pr", "reviewer")
-            check_actor(step, index, "reviewer")
-            if step["pr"] not in pr_names:
-                raise ScenarioError(f"step {index}: undeclared pull request {step['pr']!r}")
-        elif op == "review":
-            _need(step, index, "pr", "reviewer", "verdict")
-            check_actor(step, index, "reviewer")
-            if step["pr"] not in pr_names:
-                raise ScenarioError(f"step {index}: undeclared pull request {step['pr']!r}")
-        elif op == "merge":
-            _need(step, index, "core", "belt", "author")
-            check_actor(step, index)
-            check_branch(step, index, "core")
-            check_branch(step, index, "belt")
-            if step.get("pr") is not None and step["pr"] not in pr_names:
-                raise ScenarioError(f"step {index}: undeclared pull request {step['pr']!r}")
-            if step.get("root_at") is not None:
-                check_branch(step, index, "root_at")
-            for approver in step.get("approvals", ()):
-                if approver not in actor_names:
-                    raise ScenarioError(f"step {index}: undeclared actor {approver!r}")
-            if step.get("as"):
-                if step["as"] in sprout_names:
-                    raise ScenarioError(f"step {index}: duplicate sprout name {step['as']!r}")
-                sprout_names.add(step["as"])
-        elif op in ("veto", "vote"):
-            _need(step, index, "core", "sprout", "by")
-            check_actor(step, index, "by")
-            check_branch(step, index, "core")
-            if step["sprout"] not in sprout_names:
-                raise ScenarioError(f"step {index}: undeclared sprout {step['sprout']!r}")
-        elif op == "advance_ticks":
-            _need(step, index, "ticks")
-            if type(step["ticks"]) is not int or step["ticks"] < 0:
-                raise ScenarioError(f"step {index}: ticks must be a non-negative integer")
-        elif op == "expect":
-            _need(step, index, "that")
-            if not isinstance(step["that"], str) or step["that"] not in EXPECTATIONS:
-                raise ScenarioError(f"step {index}: unknown expectation {step['that']!r}")
-            _need(step, index, *EXPECTATIONS[step["that"]])
-    return Scenario(sim, peers, actors, steps, data)
+        _check_fields(f"step {index}", "step", step, {"op": "directive"}, names)
+        what = f"directive {step['op']!r}"
+        _check_fields(f"step {index}", what, step, DIRECTIVES[step["op"]], names)
+        if step["op"] == "expect":
+            _check_fields(f"step {index}", what, step, EXPECTATIONS[step["that"]], names)
+    actors = [(entry["name"], entry["peer"]) for entry in actors]
+    return Scenario(sim, list(sim_spec.get("peers", [])), actors, steps)
+
+
+def _check_fields(where: str, what: str, entry, spec: dict, names: dict):
+    """Check that entry is an object holding each field of spec ({field:
+    kind}) that is not marked optional, each field present of its kind."""
+    if not isinstance(entry, dict):
+        raise ScenarioError(f"{where}: must be an object")
+    for field_name, kind in spec.items():
+        key = field_name.removesuffix("?")
+        if key in entry:
+            _check_field(where, key, entry[key], kind, names)
+        elif key == field_name:
+            raise ScenarioError(f"{where}: {what} is missing field {key!r}")
+
+
+def _check_field(where: str, key: str, value, kind: str, names: dict):
+    """The one check of a field's kind; a "new <noun>" field declares its
+    name in names, {noun: names declared so far}."""
+    if kind.endswith(" list"):
+        if not isinstance(value, list):
+            raise ScenarioError(f"{where}: {key} must be a list")
+        for item in value:
+            _check_field(where, key, item, kind.removesuffix(" list"), names)
+    elif kind in VALUES:
+        test, must_be = VALUES[kind]
+        if not test(value):
+            raise ScenarioError(f"{where}: {key} must be {must_be}")
+    elif kind == "config":
+        if not isinstance(value, dict):
+            raise ScenarioError(f"{where}: config must be an object")
+        for name in value:
+            if name not in CONFIG_FIELDS:
+                raise ScenarioError(f"{where}: unknown config field {name!r}")
+    elif not isinstance(value, str):
+        raise ScenarioError(f"{where}: {key} must be a string")
+    elif kind in CHOICES:
+        if value not in CHOICES[kind]:
+            raise ScenarioError(f"{where}: unknown {kind} {value!r}")
+    elif kind.startswith("new "):
+        noun = kind.removeprefix("new ")
+        if value in names[noun]:
+            raise ScenarioError(f"{where}: duplicate {noun} name {value!r}")
+        names[noun].add(value)
+    elif value not in names[kind] and not (kind == "branch" and value in names["sprout"]):
+        raise ScenarioError(f"{where}: undeclared {kind} {value!r}")
 
 
 class Runner:
@@ -283,6 +242,13 @@ class Runner:
             raise ScenarioError(f"peer {peer_name} lacks branch {name!r}")
         return branch
 
+    def _pr(self, peer_name: str, name: str) -> PullRequest:
+        """The named pull request, whose requesting branch the peer must hold."""
+        pr = self.prs[name]
+        if pr.requesting_branch not in self._state(peer_name).branches:
+            raise ScenarioError(f"peer {peer_name} lacks the requesting branch of {name!r}")
+        return pr
+
     def _done(self, peer_name: str, summary: str, route: tuple | None = None):
         """End a step: log the action, route its branch request, if any, to
         the branch's contributors, and flush the peer's gossip."""
@@ -301,7 +267,7 @@ class Runner:
             op = step["op"]
             try:
                 getattr(self, f"_op_{op}")(index, step)
-            except (ScenarioError, *ENGINE_ERRORS) as exc:
+            except (ScenarioError, LakatError) as exc:
                 raise ScenarioError(f"step {index}: {op} rejected: {exc}") from exc
         world.run_until_quiescent(QUIESCENCE_TICKS)
         self.report.transcript_hash = world.transcript_hash()
@@ -317,10 +283,7 @@ class Runner:
 
     def _op_create_branch(self, index, step):
         creator, peer_name, state = self._actor(step["creator"])
-        overrides = dict(step.get("config", {}))
-        overrides["branch_type"] = step["type"]
-        base = BranchConfig().to_json()
-        base.update(overrides)
+        base = {**BranchConfig().to_json(), **step.get("config", {}), "branch_type": step["type"]}
         try:
             config = BranchConfig.from_json(base)
         except HEADER_ERRORS as exc:
@@ -362,7 +325,7 @@ class Runner:
 
     def _op_commit_review(self, index, step):
         reviewer, peer_name, state = self._actor(step["reviewer"])
-        pr = self.prs[step["pr"]]
+        pr = self._pr(peer_name, step["pr"])
         # consume the routed notification if it is waiting in the channel
         state.requests_for(pr.target_branch).dequeue("pull_requests")
         verdict = commit_review(state, pr, reviewer, self.world.now())
@@ -372,7 +335,7 @@ class Runner:
 
     def _op_review(self, index, step):
         reviewer, peer_name, state = self._actor(step["reviewer"])
-        pr = self.prs[step["pr"]]
+        pr = self._pr(peer_name, step["pr"])
         text = step.get("text", "").encode()
         verdict, _ = submit_review(state, pr, reviewer, step["verdict"], text, self.world.now())
         if not verdict.ok:
@@ -383,7 +346,7 @@ class Runner:
         author, peer_name, state = self._actor(step["author"])
         core = self._branch(peer_name, step["core"])
         belt = self._branch(peer_name, step["belt"])
-        pr = self.prs[step["pr"]] if step.get("pr") else None
+        pr = self._pr(peer_name, step["pr"]) if step.get("pr") else None
         root_at = self._branch(peer_name, step["root_at"]).branch_id if step.get("root_at") else core.branch_id
         approvals = None
         if step.get("approvals"):

@@ -14,7 +14,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .codec import CodecError, ContentId, LogicalTimestamp, canonical_decode, canonical_encode, content_id
+from .codec import CodecError, ContentId, LakatError, LogicalTimestamp, canonical_decode, canonical_encode, content_id
 from .identity import ContributionProof, KeyIdentity
 from .branch import Branch, IntegrityError, SelectionEntry, ancestry, branch_header_from_json
 from .lignify import SproutWrap, selection_tree
@@ -24,7 +24,7 @@ from .store import MemoryStore, MissingRecord
 GOSSIP, BRANCH_REQUEST, SCENARIO_ACTION = "gossip_state", "branch_request", "scenario_action"
 
 
-class SimError(Exception):
+class SimError(LakatError):
     pass
 
 

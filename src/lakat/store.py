@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import os
 
-from .codec import NULL_ID, ContentId, canonical_decode, canonical_encode, content_id, is_protocol_struct
+from .codec import NULL_ID, ContentId, LakatError, canonical_decode, canonical_encode, content_id, is_protocol_struct
 
 
-class StoreError(Exception):
+class StoreError(LakatError):
     pass
 
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codec import CodecError, ContentId, NULL_ID, canonical_decode, canonical_encode, content_id, protocol_struct
+from .codec import (
+    CodecError, ContentId, LakatError, NULL_ID, canonical_decode, canonical_encode, content_id, protocol_struct,
+)
 from .bucket import BucketInfo, InfoDelta, attach_info
 from .store import Store
 
@@ -19,7 +21,7 @@ KEY_NIBBLES = 32  # 16 bytes of digest
 _STRUCT_TAG = 0x06  # first byte of a canonically encoded struct
 
 
-class TrieError(Exception):
+class TrieError(LakatError):
     pass
 
 

@@ -479,6 +479,19 @@ def test_conflict_policy_verdict(store, alice):
     assert verify_branch(branch, store).ok
 
 
+@pytest.mark.parametrize("accept_conflicts", [False, True])
+def test_undecodable_belt_tip_is_a_verdict_under_either_conflict_policy(store, accept_conflicts):
+    """The conflict check walks belt tips, which the chain walk does not:
+    a belt tip that does not decode fails the branch, it does not raise."""
+    root = _raw_submit(store, NULL_ID, "root")
+    garbage = store.put(b"\xff garbage")
+    merge = _raw_submit(store, root, "merge", belt_tip=garbage, merged=content_id(b"belt"))
+    branch = _raw_branch(root, merge)
+    branch.config = twig_config(accept_conflicts=accept_conflicts)
+    expected = [] if accept_conflicts else ["history-integrity"]
+    assert verify_branch(branch, store).codes() == expected
+
+
 # -- one verified set per store ------------------------------------------------------
 
 

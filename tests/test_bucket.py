@@ -5,6 +5,8 @@ import pytest
 
 from lakat.codec import LogicalTimestamp, NULL_ID, canonical_encode, content_id
 from lakat.bucket import (
+    SCHEMA_MOLECULAR,
+    Bucket,
     BucketError,
     DanglingReference,
     ImmutableFieldError,
@@ -12,6 +14,7 @@ from lakat.bucket import (
     REF_MARKER,
     attach_info,
     check_context_membership,
+    check_new_buckets,
     create_atomic_bucket,
     create_molecular_bucket,
     extract_refs,
@@ -146,6 +149,36 @@ def test_context_membership_from_earlier_submit(store, alice):
     _, m = create_molecular_bucket(store, creator, NULL_ID, [a], tick(0))
     # submit two introduces only the atomic; context sits in the store
     assert check_context_membership({a}, {a: store.get_object(a)}, store)
+
+
+BAD_ARRANGEMENTS = pytest.mark.parametrize("record", [
+    b"\xff garbage",  # does not decode
+    canonical_encode(5),
+    canonical_encode([b"x"]),
+], ids=["undecodable", "number", "list-of-bytes"])
+
+
+def _garbled_molecular(store, creator, record):
+    bucket = Bucket(SCHEMA_MOLECULAR, creator, NULL_ID, store.put(record), NULL_ID, tick(0))
+    return store.put_object(bucket)
+
+
+@BAD_ARRANGEMENTS
+def test_bad_arrangement_in_the_submit_fails_with_a_code(store, alice, record):
+    creator = _creator(store, alice)
+    _, a = create_atomic_bucket(store, creator, NULL_ID, b"a", [], tick(0))
+    m = _garbled_molecular(store, creator, record)
+    assert check_new_buckets(store, (a, m)) == ("bad-arrangement", m.hex)
+
+
+@BAD_ARRANGEMENTS
+def test_bad_arrangement_in_the_store_is_skipped(store, alice, record):
+    creator = _creator(store, alice)
+    _garbled_molecular(store, creator, record)
+    _, a = create_atomic_bucket(store, creator, NULL_ID, b"a", [], tick(0))
+    assert check_new_buckets(store, (a,)) == ("context-membership", "")
+    create_molecular_bucket(store, creator, NULL_ID, [a], tick(0))
+    assert check_new_buckets(store, (a,)) is None
 
 
 def test_attach_review_appends(store):

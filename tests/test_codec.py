@@ -382,3 +382,22 @@ def test_id_tuple_fields_keep_their_empty_and_absent_forms():
 
     for value in (TrieBranch(tuple([None] * 16)), SubmitTrace(), BucketInfo()):
         assert canonical_decode(canonical_encode(value)) == value
+
+
+def test_every_engine_error_derives_from_lakat_error():
+    """The scenario runner and the decoder catch engine refusals by one base."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import lakat
+    from lakat.codec import LakatError
+
+    found = set()
+    for info in pkgutil.iter_modules(lakat.__path__):
+        module = importlib.import_module(f"lakat.{info.name}")
+        for cls in vars(module).values():
+            if inspect.isclass(cls) and issubclass(cls, BaseException) and cls.__module__ == module.__name__:
+                found.add(cls)
+    assert {"CodecError", "BranchError", "SimError", "UnknownChannel", "ScenarioError"} <= {c.__name__ for c in found}
+    assert [c.__name__ for c in found if c.__name__ != "ScenarioError" and not issubclass(c, LakatError)] == []

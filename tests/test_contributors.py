@@ -82,7 +82,9 @@ def reference_contributors(state, branch_id, visited=None) -> ContributorSet:
         if (proof.branch_id == branch_id and proof.kind in KINDS
                 and proof.kind in branch.config.accepted_proofs
                 and proof.verify() and proof.evidence in evidence):
-            result.add(proof.kind, proof.contributor, proof)
+            proofs = result.kind(proof.kind).setdefault(proof.contributor, [])
+            if proof not in proofs:
+                proofs.append(proof)
     wrap = state.wraps.get(branch_id)
     if wrap is not None:
         result.add("content", wrap.creator)

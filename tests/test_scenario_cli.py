@@ -131,6 +131,13 @@ def test_cli_malformed_actor_exits_2(tmp_path, capsys, actors):
     assert len(err.strip().splitlines()) == 1
 
 
+_REVIEW_STEPS = [  # appended to MINIMAL as steps 5 and 6: a review whose text is a number
+    {"op": "pull_request", "name": "pr", "issuing": "solo", "requesting": "solo", "target": "solo",
+     "author": "ann"},
+    {"op": "review", "pr": "pr", "reviewer": "ann", "verdict": "accept", "text": 3},
+]
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda s: s["steps"].insert(1, "submit"), "step 1: must be an object"),
     (lambda s: s["steps"].insert(0, ["op", "submit"]), "step 0: must be an object"),
@@ -148,9 +155,33 @@ def test_cli_malformed_actor_exits_2(tmp_path, capsys, actors):
     (lambda s: s["steps"][0].update(config=[1]), "step 0: config must be an object"),
     (lambda s: s["steps"][0].update(config={"acceptance_rule": 5}),
      "step 0: create_branch rejected: config unreadable: AttributeError"),
+    (lambda s: s["steps"][1].update(payload=5), "step 1: payload must be a string"),
+    (lambda s: s["steps"].extend(_REVIEW_STEPS), "step 6: text must be a string"),
+    (lambda s: s["steps"][0].update(name=["x"]), "step 0: name must be a string"),
+    (lambda s: s["steps"][0].update(token="zz"), "step 0: token must be hex"),
+    (lambda s: s.update(sim=[1]), "sim: must be an object"),
+    (lambda s: s["sim"].update(seed="x"), "sim: seed must be a non-negative integer"),
+    (lambda s: s["sim"].update(schedule=["x"]), "schedule 0: must be an object"),
+    (lambda s: s["steps"][3].update(kind=3), "step 3: kind must be a string"),
+    (lambda s: s["steps"][0].update(config={"lignification_time": "x"}),
+     "config unreadable: BranchError: lignification_time must be a non-negative integer"),
+    (lambda s: s["steps"][0].update(config={"min_reviewers": "x"}),
+     "config unreadable: BranchError: min_reviewers must be a non-negative integer"),
+    (lambda s: s["steps"][1].update(message=5), "step 1: message must be a string"),
+    (lambda s: s["steps"][3].update(present="yes"), "step 3: present must be true or false"),
+    (lambda s: s["steps"][4].update(equals="2"), "step 4: equals must be a non-negative integer"),
+    (lambda s: s["steps"][0].update(config={"accept_conflicts": "no"}),
+     "config unreadable: BranchError: accept_conflicts must be true or false"),
+    (lambda s: s["steps"][0].update(config={"twig_merge_fraction": [1, 0]}),
+     "config unreadable: BranchError: twig_merge_fraction must be [num, den] with num >= 0 and den > 0"),
+    (lambda s: s["steps"][0].update(config={"acceptance_rule": {"kind": "fraction", "fraction": [1, 0]}}),
+     "config unreadable: BranchError: acceptance_rule fraction must be [num, den] with num >= 0 and den > 0"),
 ], ids=["step-string", "step-list", "uniform-reversed", "uniform-short", "fixed-string", "latency-number",
         "ticks-negative", "ticks-string", "expect-without-equals", "expect-without-sprout-head",
-        "expect-unknown", "config-unknown-field", "config-not-object", "config-unreadable"])
+        "expect-unknown", "config-unknown-field", "config-not-object", "config-unreadable",
+        "payload-number", "review-text-number", "name-list", "token-not-hex", "sim-list", "seed-string",
+        "schedule-string", "kind-number", "window-string", "reviewers-string", "message-number",
+        "present-string", "equals-string", "conflicts-string", "twig-fraction-zero-den", "rule-fraction-zero-den"])
 def test_cli_malformed_step_or_latency_exits_2(tmp_path, capsys, edit, message):
     scenario = json.loads(MINIMAL)
     edit(scenario)
