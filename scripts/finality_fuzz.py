@@ -10,9 +10,10 @@ import os
 import sys
 import time
 
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 
-from fuzz_driver import FuzzRun  # noqa: E402
+from fuzz_driver import FuzzRun, state_digest  # noqa: E402
 
 
 def main():
@@ -35,6 +36,7 @@ def main():
     print(f"peers converged: {converged}  heads: {heads}")
     print(f"lignification decisions: {len(run.world.decision_log)}")
     print(f"transcript hash: {run.world.transcript_hash()}")
+    print(f"state digest: {state_digest(run.world)}")
     ok = not run.violations and converged
     if args.determinism:
         again = FuzzRun(args.seed).run(args.events)

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Regenerate the frozen golden transcript hashes for the shipped scenarios.
+"""Regenerate the frozen golden transcript hashes and final-state digests
+for the shipped scenarios.
 
 Run only after deliberately reviewing a behavior change:
 
@@ -12,26 +13,31 @@ import sys
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 
+from fuzz_driver import state_digest  # noqa: E402
 from lakat.scenario import Runner, parse_scenario  # noqa: E402
 
 
 def main():
-    golden = {}
+    golden, states = {}, {}
     for name in ("fig5a", "fig5b"):
         with open(os.path.join(ROOT, "scenarios", f"{name}.json")) as fh:
             scenario = parse_scenario(fh.read())
-        report = Runner(scenario).run()
+        runner = Runner(scenario)
+        report = runner.run()
         if not report.ok:
             print(f"{name}: expectations FAILED; refusing to freeze", file=sys.stderr)
             return 1
         golden[name] = report.transcript_hash
-        print(f"{name}: {report.transcript_hash}")
+        states[name] = state_digest(runner.world, report.assertions)
+        print(f"{name}: transcript {report.transcript_hash}  state {states[name]}")
     out_dir = os.path.join(ROOT, "tests", "golden")
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "transcripts.json"), "w") as fh:
-        json.dump(golden, fh, indent=1, sort_keys=True)
-    print("frozen to tests/golden/transcripts.json")
+    for file_name, hashes in (("transcripts.json", golden), ("states.json", states)):
+        with open(os.path.join(out_dir, file_name), "w") as fh:
+            json.dump(hashes, fh, indent=1, sort_keys=True)
+        print(f"frozen to tests/golden/{file_name}")
     return 0
 
 

@@ -3,8 +3,11 @@
 Generates a long random mix of twig pushes, review cycles, merges, vetoes,
 and votes over a 3-peer world, checking after every quiescent point that no
 proper branch ever loses a submit from its lignified history prefix.
+`state_digest` fingerprints where any simulated run ended.
 """
 
+import hashlib
+import json
 import random
 
 from lakat.branch import ancestry
@@ -32,6 +35,18 @@ def _config(branch_type, **overrides):
     )
     defaults.update(overrides)
     return BranchConfig(**defaults)
+
+
+def state_digest(world, assertions=()) -> str:
+    """SHA-256 over the final state of a run: each peer's sorted header JSON
+    and sorted record ids, the decision log, and the scenario assertions.
+    Unlike the transcript hash it does not see the order events ran in."""
+    peers = [[name,
+              sorted(branch.header_text() for branch in peer.state.branches.values()),
+              sorted(cid.hex for cid in peer.state.store.ids())]
+             for name, peer in sorted(world.peers.items())]
+    material = [peers, list(world.decision_log), list(assertions)]
+    return hashlib.sha256(json.dumps(material, sort_keys=True).encode()).hexdigest()
 
 
 class FuzzRun:

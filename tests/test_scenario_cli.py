@@ -4,6 +4,7 @@ import os
 import pytest
 
 from lakat.branch import Submit, SubmitTrace, get_submit
+from fuzz_driver import state_digest
 from lakat.cli import main as cli_main
 from lakat.codec import ContentId
 from lakat.scenario import (
@@ -385,6 +386,21 @@ def test_golden_transcripts_frozen():
             report = run(parse_scenario(fh.read()))
         assert report.ok
         assert report.transcript_hash == expected, f"{name} transcript drifted"
+
+
+def test_golden_states_frozen():
+    """Shipped scenarios end in the frozen final states: headers, records,
+    decision log and assertions.  A change that only reorders events moves
+    the transcript hashes but must leave these digests alone."""
+    with open(os.path.join(os.path.dirname(__file__), "golden", "states.json")) as fh:
+        golden = json.load(fh)
+    assert sorted(golden) == ["fig5a", "fig5b"]
+    for name, expected in sorted(golden.items()):
+        with open(scenario_path(f"{name}.json")) as fh:
+            runner = Runner(parse_scenario(fh.read()))
+        report = runner.run()
+        assert report.ok
+        assert state_digest(runner.world, report.assertions) == expected, f"{name} final state drifted"
 
 
 def test_seed_sweep_changes_hash_not_outcomes():
