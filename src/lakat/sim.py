@@ -2,8 +2,9 @@
 
 Peers hold independent protocol states and exchange two event kinds:
 gossiped branch state (header plus the content-addressed records backing
-it) and branch requests routed to contributors.  Same-tick events order by
-event id, so a run is a pure function of config plus scenario.
+it) and branch requests routed to contributors.  Events order by their own
+fields, never by their payload (see SimEvent), so a run is a pure function
+of config plus scenario.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ import hashlib
 import heapq
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .codec import CodecError, ContentId, LakatError, LogicalTimestamp, canonical_decode, canonical_encode, content_id
+from .codec import CodecError, ContentId, LakatError, LogicalTimestamp, canonical_decode, canonical_encode
 from .identity import ContributionProof, KeyIdentity
 from .branch import Branch, IntegrityError, SelectionEntry, ancestry, branch_header_from_json
 from .lignify import SproutWrap, selection_tree
@@ -39,19 +40,16 @@ class SimConfig:
     schedule: tuple = ()  # ((tick, peer, "join"|"leave"), ...)
 
 
-@dataclass
+@dataclass(order=True)
 class SimEvent:
+    """A queued event, ordered by its fields in turn; seq is emission order."""
     deliver_tick: int
     kind: str
     src: str
     dst: str
-    payload: bytes
     summary: str
-
-    @property
-    def event_id(self) -> str:
-        material = canonical_encode([self.deliver_tick, self.kind, self.src, self.dst, self.payload])
-        return content_id(material).hex
+    seq: int
+    payload: bytes = field(compare=False)
 
 
 class Peer:
@@ -113,9 +111,9 @@ class World:
     # -- event plumbing ------------------------------------------------------
 
     def emit(self, kind: str, src: str, dst: str, payload: bytes, summary: str, at: int | None = None):
-        event = SimEvent((self.tick if at is None else at) + self._latency(), kind, src, dst, payload, summary)
         self.seq += 1
-        heapq.heappush(self.queue, (event.deliver_tick, event.event_id, self.seq, event))
+        deliver_tick = (self.tick if at is None else at) + self._latency()
+        heapq.heappush(self.queue, SimEvent(deliver_tick, kind, src, dst, summary, self.seq, payload))
 
     def _apply_schedule_until(self, tick: int):
         while self._schedule_pos < len(self._schedule) and self._schedule[self._schedule_pos][0] <= tick:
@@ -144,14 +142,14 @@ class World:
         """Deliver the next queued event; False when the queue is empty."""
         if not self.queue:
             return False
-        deliver_tick, _, _, event = heapq.heappop(self.queue)
-        self._apply_schedule_until(deliver_tick)
-        self.tick = max(self.tick, deliver_tick)
+        event = heapq.heappop(self.queue)
+        self._apply_schedule_until(event.deliver_tick)
+        self.tick = max(self.tick, event.deliver_tick)
         dst = self.peers.get(event.dst)
         if dst is None or not dst.online:
-            self.log(deliver_tick, event.kind, event.src, event.dst, f"dropped-offline {event.summary}")
+            self.log(event.deliver_tick, event.kind, event.src, event.dst, f"dropped-offline {event.summary}")
             return True
-        self.log(deliver_tick, event.kind, event.src, event.dst, event.summary)
+        self.log(event.deliver_tick, event.kind, event.src, event.dst, event.summary)
         if event.kind == GOSSIP:
             receive_gossip(self, dst, event.payload)
         elif event.kind == BRANCH_REQUEST:
@@ -160,7 +158,7 @@ class World:
 
     def run_until(self, target_tick: int):
         self._apply_schedule_until(self.tick)
-        while self.queue and self.queue[0][0] <= target_tick:
+        while self.queue and self.queue[0].deliver_tick <= target_tick:
             self.step()
         self._apply_schedule_until(target_tick)
         self.tick = max(self.tick, target_tick)
@@ -168,7 +166,7 @@ class World:
     def run_until_quiescent(self, max_ticks: int = 10_000):
         start = self.tick
         while self.queue:
-            if self.queue[0][0] > start + max_ticks:
+            if self.queue[0].deliver_tick > start + max_ticks:
                 raise NonQuiescent(f"events still queued beyond tick {start + max_ticks}")
             self.step()
         return self

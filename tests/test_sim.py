@@ -1,3 +1,4 @@
+import heapq
 import json
 
 import pytest
@@ -8,7 +9,7 @@ from lakat.identity import make_contribution_proof
 from lakat.branch import get_submit
 from lakat.ops import create_genesis_branch, create_rooted_branch
 from lakat.review import twig_push
-from lakat.sim import GOSSIP, SimConfig, World, receive_gossip, route_request
+from lakat.sim import BRANCH_REQUEST, GOSSIP, SimConfig, World, receive_gossip, route_request
 from lakat.state import build_content_submit
 from lakat.store import MemoryStore
 from conftest import proper_config, twig_config
@@ -80,29 +81,48 @@ def test_empty_queue_is_fixpoint():
 def test_single_event_single_transition():
     world = make_world(peers=("p1", "p2"))
     create_on(world, "p1")
-    assert len(world.queue) == 1
+    assert len(world.queue) == 1 and world.queue[0].dst == "p2"
     assert world.step()
-    assert not world.queue or world.queue[0][3].src == "p2"
+    assert not world.queue or world.queue[0].src == "p2"
 
 
-def test_same_tick_events_order_by_id_regardless_of_insertion():
-    """Permuted insertion of same-tick events yields the same processing order."""
-    import heapq
+def drain(world):
+    """Pop the whole queue in processing order."""
+    return [heapq.heappop(world.queue) for _ in range(len(world.queue))]
 
-    def build(world, payload_order):
-        events = []
-        for payload in payload_order:
-            world.emit(GOSSIP, "p1", "p2", payload, payload.decode())
-        order = []
-        while world.queue:
-            _, eid, _, event = heapq.heappop(world.queue)
-            order.append(event.payload)
-        return order
 
-    payloads = [b"alpha", b"bravo", b"charlie", b"delta"]
-    one = build(make_world(), payloads)
-    two = build(make_world(), list(reversed(payloads)))
-    assert one == two
+def test_same_tick_events_order_by_their_fields_regardless_of_insertion():
+    """Permuted insertion yields one processing order: tick, then kind,
+    source, destination and summary."""
+    emits = [
+        (2, GOSSIP, "p1", "p2", "bravo"),
+        (1, GOSSIP, "p2", "p1", "alpha"),
+        (1, GOSSIP, "p1", "p3", "alpha"),
+        (1, BRANCH_REQUEST, "p3", "p1", "charlie"),
+        (1, GOSSIP, "p1", "p2", "bravo"),
+        (1, GOSSIP, "p1", "p2", "alpha"),
+    ]
+
+    def order(emits):
+        world = make_world()
+        for tick, kind, src, dst, summary in emits:
+            world.emit(kind, src, dst, summary.encode(), summary, at=tick - 1)
+        return [(e.deliver_tick, e.kind, e.src, e.dst, e.summary) for e in drain(world)]
+
+    assert order(emits) == order(list(reversed(emits))) == sorted(emits)
+
+
+def test_events_with_equal_fields_run_in_emission_order_whatever_their_payload():
+    """Only emission order separates events that agree on every field, so
+    changing their payload bytes leaves the processing order unchanged."""
+    def order(payloads):
+        world = make_world()
+        for payload in payloads:
+            world.emit(GOSSIP, "p1", "p2", payload, "same")
+        return [(e.seq, e.payload) for e in drain(world)]
+
+    assert order([b"zulu", b"alpha"]) == [(1, b"zulu"), (2, b"alpha")]
+    assert order([b"alpha", b"zulu"]) == [(1, b"alpha"), (2, b"zulu")]
 
 
 def test_identical_runs_identical_transcripts():
