@@ -4,7 +4,9 @@
     lakat verify <dump-dir>
 
 Exit codes: 0 all expectations pass, 1 assertion or integrity failure,
-2 scenario/parse error.  LAKAT_LOG overrides the log level.
+2 scenario/parse error, a scenario that cannot be read or a dump that
+cannot be written.  `verify` reports a dump file it cannot read as one
+problem line.  LAKAT_LOG overrides the log level.
 """
 
 from __future__ import annotations
@@ -64,7 +66,11 @@ def _run(args) -> int:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     if args.dump:
-        dump_state(runner.world, args.dump)
+        try:
+            dump_state(runner.world, args.dump)
+        except OSError as exc:
+            print(f"cannot write dump: {exc}", file=sys.stderr)
+            return 2
     print(json.dumps(report.to_json(), sort_keys=True, indent=1))
     for entry in report.assertions:
         status = "pass" if entry["ok"] else "FAIL"

@@ -480,13 +480,18 @@ def verify_dump(path: str) -> list[str]:
 def _verify_peer(peer_dir: str) -> list[str]:
     problems = []
     store = MemoryStore()
-    if os.path.exists(os.path.join(peer_dir, "store.log")):
+    try:
         with open_log(os.path.join(peer_dir, "store.log")) as fh:
             for line_no, _, data, problem in read_log(fh):
                 if problem is not None:
                     problems.append(f"store.log line {line_no} {problem}")
                 if data is not None:
                     store.put(data)
+    except FileNotFoundError:
+        pass  # an absent log is an empty store
+    except OSError as exc:  # no records to check the headers against
+        problems.append(f"store.log unreadable: {exc.strerror}")
+        return problems
     headers, roots = (_json_object(peer_dir, name, problems) for name in ("headers.json", "trie_roots.json"))
     readable = set()  # trie roots read in full
     for bid_hex, header in headers.items():
@@ -519,12 +524,15 @@ def _verify_peer(peer_dir: str) -> list[str]:
 
 def _json_object(peer_dir: str, name: str, problems: list[str]) -> dict:
     """The object in a dump's JSON file: {} if the file is absent, and {}
-    plus a problem line if it holds anything else."""
-    if not os.path.exists(os.path.join(peer_dir, name)):
-        return {}
+    plus a problem line if it cannot be read or holds anything else."""
     try:
         with open(os.path.join(peer_dir, name)) as fh:
             data = json.load(fh)
+    except FileNotFoundError:
+        return {}
+    except OSError as exc:
+        problems.append(f"{name} unreadable: {exc.strerror}")
+        return {}
     except ValueError:  # not JSON, or not UTF-8
         data = None
     if not isinstance(data, dict):

@@ -219,12 +219,7 @@ def build_gossip_payload(peer: Peer, branch_id: ContentId, receiver: str | None 
         if entry.sprout in state.branches:
             tree.setdefault(entry.sprout)
     headers = [state.branches[cid].header_text() for cid in tree]
-    wraps = []
-    for cid in tree:
-        wrap = state.wraps.get(cid)
-        if wrap is not None:
-            wraps.append(wrap)
-    wraps.sort(key=lambda w: w.sprout)
+    wraps = sorted((state.wraps[cid] for cid in tree if cid in state.wraps), key=lambda w: w.sprout)
     proofs = list(state.proofs.get(branch_id, []))
     order = state.store.ids()
     if receiver is None:
@@ -239,25 +234,14 @@ def build_gossip_payload(peer: Peer, branch_id: ContentId, receiver: str | None 
         proofs = [p for p in proofs if p not in shipped_proofs]
         shipped_proofs.update(proofs)
     records = [state.store.get(cid) for cid in record_ids]
-    ousted = sorted(((k.hex, v.hex) for k, v in state.ousted.items()))
+    ousted = sorted([k.hex, v.hex] for k, v in state.ousted.items())
     spent = sorted(cid.hex for cid in state.spent)
-    payload = [
-        b"gossip",
-        branch_id,
-        headers,
-        wraps,
-        proofs,
-        records,
-        [list(pair) for pair in ousted],
-        spent,
-    ]
-    return canonical_encode(payload)
+    return canonical_encode([b"gossip", branch_id, headers, wraps, proofs, records, ousted, spent])
 
 
 def receive_gossip(world: World, peer: Peer, payload: bytes):
     state = peer.state
-    decoded = canonical_decode(payload)
-    _, _, headers, wraps, proofs, records, ousted, spent = decoded
+    _, _, headers, wraps, proofs, records, ousted, spent = canonical_decode(payload)
     for record in records:
         state.store.put(record)
     for wrap in wraps:
@@ -273,16 +257,14 @@ def receive_gossip(world: World, peer: Peer, payload: bytes):
     changed = False
     for header_text in headers:
         adopted, waiting = adopt_header(state, header_text)
-        if adopted:
-            changed = True
+        changed |= adopted
         if waiting:
             data = json.loads(header_text)
             peer.pending_headers[data["branch_id"] + data["stable_head"]] = header_text
     # new records may unlock headers buffered from earlier out-of-order gossip
     for key in list(peer.pending_headers):
         adopted, waiting = adopt_header(state, peer.pending_headers[key])
-        if adopted:
-            changed = True
+        changed |= adopted
         if not waiting:
             del peer.pending_headers[key]
     if changed:

@@ -113,6 +113,12 @@ def test_cli_run_exit_codes(tmp_path, capsys):
     assert cli_main(["run", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
 
+    blocker = tmp_path / "a-file"  # a dump directory below a file cannot be made
+    blocker.write_text("")
+    assert cli_main(["run", str(path), "--dump", str(blocker / "dump")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cannot write dump: ")
+
 
 @pytest.mark.parametrize("actors", [
     ["ann"],
@@ -246,6 +252,13 @@ def _edit_json(name, edit):
     return apply
 
 
+def _directory_in_place_of(name):
+    def apply(peer_dir):
+        (peer_dir / name).unlink()
+        (peer_dir / name).mkdir()
+    return apply
+
+
 def _head_on_trie_root(headers, peer_dir):
     roots = json.loads((peer_dir / "trie_roots.json").read_text())
     for bid_hex, header in headers.items():
@@ -286,8 +299,12 @@ def _head_on_garbage_trie(peer_dir):
      "header unreadable: TypeError"),
     (_edit_json("headers.json", _head_on_trie_root), "fails: ['history-integrity']"),
     (_head_on_garbage_trie, "trie unreadable: truncated salted leaf record"),
+    (_directory_in_place_of("store.log"), "p1: store.log unreadable: "),
+    (_directory_in_place_of("headers.json"), "p1: headers.json unreadable: "),
+    (_directory_in_place_of("trie_roots.json"), "p1: trie_roots.json unreadable: "),
 ], ids=["headers-not-json", "headers-list", "roots-not-utf8", "roots-string", "header-missing-key",
-        "header-bad-hex", "header-short-id", "header-wrong-type", "head-not-a-submit", "trie-root-garbage"])
+        "header-bad-hex", "header-short-id", "header-wrong-type", "head-not-a-submit", "trie-root-garbage",
+        "log-is-a-directory", "headers-is-a-directory", "roots-is-a-directory"])
 def test_cli_verify_reports_bad_dump_file_in_one_line(tmp_path, capsys, edit, line):
     dump_dir = _dump_minimal(tmp_path, capsys)
     edit(dump_dir / "p1")
