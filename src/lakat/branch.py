@@ -111,36 +111,12 @@ class BranchConfig:
                 raise BranchError(f"{name} must be [num, den] with num >= 0 and den > 0")
 
     def to_json(self) -> dict:
-        return {
-            "branch_type": self.branch_type,
-            "accept_conflicts": self.accept_conflicts,
-            "accepted_proofs": list(self.accepted_proofs),
-            "min_reviewers": self.min_reviewers,
-            "acceptance_rule": {
-                "kind": self.acceptance_rule.kind,
-                "fraction": [self.acceptance_rule.fraction.num, self.acceptance_rule.fraction.den],
-            },
-            "min_review_rounds": self.min_review_rounds,
-            "twig_merge_fraction": [self.twig_merge_fraction.num, self.twig_merge_fraction.den],
-            "lignification_time": self.lignification_time,
-            "engagement_time": self.engagement_time,
-            "broadcasting_buffer": self.broadcasting_buffer,
-            "stale_after_merge": self.stale_after_merge,
-        }
+        return _kind("BranchConfig")[0](self)
 
     @classmethod
     def from_json(cls, data: dict) -> "BranchConfig":
-        kwargs = dict(data)
-        if "acceptance_rule" in kwargs:
-            rule = kwargs["acceptance_rule"]
-            num, den = rule.get("fraction", [1, 1])
-            kwargs["acceptance_rule"] = AcceptanceRule(rule["kind"], Rational(num, den))
-        if "twig_merge_fraction" in kwargs:
-            num, den = kwargs["twig_merge_fraction"]
-            kwargs["twig_merge_fraction"] = Rational(num, den)
-        if "accepted_proofs" in kwargs:
-            kwargs["accepted_proofs"] = tuple(kwargs["accepted_proofs"])
-        return cls(**kwargs)
+        """The config a JSON object names; a field left out takes its default."""
+        return _kind("BranchConfig")[1](data)
 
 
 @protocol_struct(7)
@@ -262,40 +238,10 @@ class Branch:
         return self.config.branch_type
 
     def selection_entry(self, sprout: ContentId) -> SelectionEntry | None:
-        for entry in self.sprout_selection:
-            if entry.sprout == sprout:
-                return entry
-        return None
+        return next((entry for entry in self.sprout_selection if entry.sprout == sprout), None)
 
     def header_json(self) -> dict:
-        return {
-            "branch_id": self.branch_id.hex,
-            "parent_branch": self.parent_branch.hex,
-            "branch_config": self.config.to_json(),
-            "stable_head": self.stable_head.hex,
-            "sprouts": sorted(s.hex for s in self.sprouts),
-            "sprout_selection": [
-                {
-                    "sprout": entry.sprout.hex,
-                    "vetoes": [
-                        {"sprout": v.sprout.hex, "contributor": v.contributor.hex(),
-                         "tick": v.tick, "signature": v.signature.hex()}
-                        for v in entry.vetoes
-                    ],
-                    "votes": [
-                        {"sprout": v.sprout.hex, "voter": v.voter.hex(),
-                         "tick": v.tick, "signature": v.signature.hex()}
-                        for v in entry.votes
-                    ],
-                }
-                for entry in self.sprout_selection
-            ],
-            "branch_token": [token.hex() for token in self.branch_token],
-            "timestamp": {"tick": self.timestamp.tick,
-                          "anchor": self.timestamp.anchor.hex() if self.timestamp.anchor else None},
-            "initial_head": self.initial_head.hex,
-            "stale": self.stale,
-        }
+        return _kind("Branch")[0](self)
 
     def header_text(self) -> str:
         return json.dumps(self.header_json(), sort_keys=True)
@@ -303,47 +249,82 @@ class Branch:
     def fingerprint(self) -> tuple:
         """Cheap structural stand-in for header_text equality: covers every
         mutable header field (the rest are fixed at creation)."""
-        return (
-            self.stable_head,
-            self.parent_branch,
-            self.stale,
-            tuple(self.branch_token),
-            self.config,
-            frozenset(self.sprouts),
-            tuple(self.sprout_selection),
-        )
+        return (self.stable_head, self.parent_branch, self.stale, tuple(self.branch_token), self.config,
+                frozenset(self.sprouts), tuple(self.sprout_selection))
+
+
+# The JSON of a branch header and of every object in it, read and written by
+# one table: class -> {field: kind}.  A kind is a name in _KINDS, a class name
+# of the table (an object), "<kind> list" (a tuple field takes it as a tuple)
+# or "<kind> set" (written sorted).  A field marked "?" may be left out and
+# takes its dataclass default; the rest are required, and no other key is
+# taken.  Keys are field names, but a header names its config "branch_config".
+HEADER_FIELDS = {
+    Branch: {"branch_id": "id", "parent_branch": "id", "timestamp": "LogicalTimestamp", "initial_head": "id",
+             "stable_head": "id", "config": "BranchConfig", "sprouts": "id set",
+             "sprout_selection": "SelectionEntry list", "branch_token": "bytes list", "stale": "plain"},
+    BranchConfig: {"branch_type?": "plain", "accept_conflicts?": "plain", "accepted_proofs?": "plain list",
+                   "min_reviewers?": "plain", "acceptance_rule?": "AcceptanceRule", "min_review_rounds?": "plain",
+                   "twig_merge_fraction?": "rational", "lignification_time?": "plain",
+                   "engagement_time?": "plain", "broadcasting_buffer?": "plain", "stale_after_merge?": "plain"},
+    AcceptanceRule: {"kind": "plain", "fraction?": "rational"},
+    LogicalTimestamp: {"tick": "plain", "anchor": "anchor"},
+    SelectionEntry: {"sprout": "id", "vetoes": "Veto list", "votes": "Vote list"},
+    Veto: {"sprout": "id", "contributor": "bytes", "tick": "plain", "signature": "bytes"},
+    Vote: {"sprout": "id", "voter": "bytes", "tick": "plain", "signature": "bytes"},
+}
+_KINDS = {  # kind -> (to JSON, from JSON); _kind adds the lists, sets and objects
+    "plain": (lambda value: value, lambda value: value),
+    "id": (bytes.hex, ContentId.from_hex),
+    "bytes": (bytes.hex, bytes.fromhex),
+    "anchor": (lambda anchor: anchor.hex() if anchor else None, lambda text: bytes.fromhex(text) if text else None),
+    "rational": (lambda ratio: [ratio.num, ratio.den], lambda pair: Rational(*pair)),
+}
+
+
+def _kind(kind: str) -> tuple:
+    if kind not in _KINDS:
+        base, _, shape = kind.rpartition(" ")
+        if shape in ("list", "set"):
+            to, read = _kind(base)
+            write_as, read_as = (list, list) if shape == "list" else (sorted, set)
+            _KINDS[kind] = (lambda values: write_as(map(to, values)), lambda values: read_as(map(read, values)))
+        else:
+            _KINDS[kind] = _object(next(cls for cls in HEADER_FIELDS if cls.__name__ == kind))
+    return _KINDS[kind]
+
+
+def _object(cls) -> tuple:
+    table = []  # (field, JSON key, may be left out, to JSON, from JSON)
+    for spec, kind in HEADER_FIELDS[cls].items():
+        name = spec.rstrip("?")
+        table.append((name, "branch_config" if name == "config" else name, name != spec, *_kind(kind)))
+
+    def to_json(obj) -> dict:
+        return {key: to(getattr(obj, name)) for name, key, _, to, _ in table}
+
+    def from_json(data: dict):
+        if type(data) is not dict:
+            raise BranchError("must be an object")
+        kwargs = {}
+        try:
+            for name, key, optional, _, read in table:
+                if key in data:
+                    kwargs[name] = read(data[key])
+                elif not optional:
+                    raise BranchError("missing")
+        except (LakatError, TypeError, ValueError) as exc:
+            raise BranchError(f"{key}: {exc}") from exc
+        if len(kwargs) < len(data):
+            raise BranchError(f"unknown field {min(set(data) - {key for _, key, *_ in table})!r}")
+        return cls(**kwargs)
+
+    return to_json, from_json
 
 
 def branch_header_from_json(data: dict) -> Branch:
-    anchor = data["timestamp"]["anchor"]
-    branch = Branch(
-        branch_id=ContentId.from_hex(data["branch_id"]),
-        parent_branch=ContentId.from_hex(data["parent_branch"]),
-        timestamp=LogicalTimestamp(data["timestamp"]["tick"], bytes.fromhex(anchor) if anchor else None),
-        initial_head=ContentId.from_hex(data["initial_head"]),
-        stable_head=ContentId.from_hex(data["stable_head"]),
-        config=BranchConfig.from_json(data["branch_config"]),
-        sprouts={ContentId.from_hex(s) for s in data["sprouts"]},
-        sprout_selection=[
-            SelectionEntry(
-                ContentId.from_hex(entry["sprout"]),
-                tuple(
-                    Veto(ContentId.from_hex(v["sprout"]), bytes.fromhex(v["contributor"]),
-                         v["tick"], bytes.fromhex(v["signature"]))
-                    for v in entry["vetoes"]
-                ),
-                tuple(
-                    Vote(ContentId.from_hex(v["sprout"]), bytes.fromhex(v["voter"]),
-                         v["tick"], bytes.fromhex(v["signature"]))
-                    for v in entry["votes"]
-                ),
-            )
-            for entry in data["sprout_selection"]
-        ],
-        branch_token=[bytes.fromhex(token) for token in data["branch_token"]],
-        stale=data["stale"],
-    )
-    return branch
+    """The branch a header's JSON names; BranchError naming a field it cannot read."""
+    return _kind("Branch")[1](data)
 
 
 @dataclass(frozen=True, order=True)
@@ -365,6 +346,7 @@ class ConflictRecord:
 class ContributorSet:
     """Per-kind contributor keys with the proofs that back them."""
 
+    KINDS = CONTRIBUTION_KINDS[:4]  # a field each; a "time" proof makes no contributor
     content: dict = field(default_factory=dict)
     review: dict = field(default_factory=dict)
     token: dict = field(default_factory=dict)
@@ -377,32 +359,23 @@ class ContributorSet:
         self.kind(kind).setdefault(key, [])
 
     def has(self, key: bytes, kind: str | None = None) -> bool:
-        kinds = [kind] if kind else ["content", "review", "token", "storage"]
-        return any(key in self.kind(k) for k in kinds)
+        return any(key in self.kind(k) for k in ((kind,) if kind else self.KINDS))
 
     def keys(self, kind: str) -> set:
         return set(self.kind(kind))
 
     def all_keys(self) -> set:
-        out = set()
-        for k in ("content", "review", "token", "storage"):
-            out |= self.keys(k)
-        return out
+        return set().union(*map(self.kind, self.KINDS))
 
     def copy(self) -> "ContributorSet":
-        return ContributorSet(
-            {k: list(v) for k, v in self.content.items()},
-            {k: list(v) for k, v in self.review.items()},
-            {k: list(v) for k, v in self.token.items()},
-            {k: list(v) for k, v in self.storage.items()},
-        )
+        return ContributorSet(*({key: list(proofs) for key, proofs in self.kind(k).items()} for k in self.KINDS))
 
     def update(self, other: "ContributorSet"):
         """Ordered union in place: new keys follow the held ones, and each
         key's proofs follow its held proofs.  Proofs are not deduplicated:
         a proof names its branch, so direct sets of different branches, the
         only sets this unites, never share one."""
-        for name in ("content", "review", "token", "storage"):
+        for name in self.KINDS:
             mine = self.kind(name)
             for key, proofs in other.kind(name).items():
                 mine.setdefault(key, []).extend(proofs)
@@ -688,7 +661,7 @@ def derive_contributors(
     for proof in proofs:
         if proof.branch_id != branch.branch_id:
             continue
-        if proof.kind not in ("content", "review", "token", "storage"):
+        if proof.kind not in ContributorSet.KINDS:
             continue
         if proof.kind not in branch.config.accepted_proofs:
             continue

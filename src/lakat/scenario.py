@@ -17,6 +17,7 @@ from .identity import KeyIdentity, make_contribution_proof
 from .branch import (
     Branch,
     BranchConfig,
+    BranchError,
     IntegrityError,
     PROPER,
     TWIG,
@@ -82,8 +83,6 @@ CHOICES = {
 }
 CONFIG_FIELDS = {f.name for f in fields(BranchConfig)}
 QUIESCENCE_TICKS = 100_000  # a run whose events reach past this many ticks is NonQuiescent
-# what reading a branch header or config from JSON raises when it is malformed
-HEADER_ERRORS = (LakatError, KeyError, TypeError, ValueError, AttributeError)
 
 
 class ScenarioError(Exception):
@@ -272,21 +271,14 @@ class Runner:
         world.run_until_quiescent(QUIESCENCE_TICKS)
         self.report.transcript_hash = world.transcript_hash()
         self.report.decision_log = list(world.decision_log)
-        headers = {}
-        for peer_name, peer in world.peers.items():
-            headers[peer_name] = {
-                bid.hex: peer.state.branches[bid].header_json()
-                for bid in sorted(peer.state.branches)
-            }
-        self.report.headers = headers
+        self.report.headers = {name: _header_map(peer.state) for name, peer in world.peers.items()}
         return self.report
 
     def _op_create_branch(self, index, step):
         creator, peer_name, state = self._actor(step["creator"])
-        base = {**BranchConfig().to_json(), **step.get("config", {}), "branch_type": step["type"]}
         try:
-            config = BranchConfig.from_json(base)
-        except HEADER_ERRORS as exc:
+            config = BranchConfig.from_json({**step.get("config", {}), "branch_type": step["type"]})
+        except BranchError as exc:
             raise ScenarioError(f"config unreadable: {type(exc).__name__}: {exc}") from exc
         token = bytes.fromhex(step["token"]) if step.get("token") else None
         if step.get("parent") is None:
@@ -439,18 +431,19 @@ def run(scenario: Scenario) -> RunReport:
     return Runner(scenario).run()
 
 
+def _header_map(state: ProtocolState) -> dict:
+    """A peer's branch headers as JSON, keyed by branch id hex."""
+    return {bid.hex: state.branches[bid].header_json() for bid in sorted(state.branches)}
+
+
 def dump_state(world: World, path: str):
     """Write branch headers, the record log, and trie roots per peer."""
     os.makedirs(path, exist_ok=True)
     for name, peer in world.peers.items():
         peer_dir = os.path.join(path, name)
         os.makedirs(peer_dir, exist_ok=True)
-        headers = {
-            bid.hex: peer.state.branches[bid].header_json()
-            for bid in sorted(peer.state.branches)
-        }
         with open(os.path.join(peer_dir, "headers.json"), "w") as fh:
-            json.dump(headers, fh, sort_keys=True, indent=1)
+            json.dump(_header_map(peer.state), fh, sort_keys=True, indent=1)
         with open_log(os.path.join(peer_dir, "store.log"), "w") as fh:
             write_log(fh, peer.state.store)
         roots = {}
@@ -498,8 +491,8 @@ def _verify_peer(peer_dir: str) -> list[str]:
         label = f"branch {bid_hex[:12]}"
         try:
             branch = branch_header_from_json(header)
-        except HEADER_ERRORS as exc:
-            problems.append(f"{label} header unreadable: {type(exc).__name__}")
+        except BranchError as exc:
+            problems.append(f"{label} header unreadable: {exc}")
             continue
         try:
             verdict = verify_branch(branch, store)  # shared history is checked once per peer

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .codec import CodecError, ContentId, LakatError, LogicalTimestamp, canonical_decode, canonical_encode
 from .identity import ContributionProof, KeyIdentity
-from .branch import Branch, IntegrityError, SelectionEntry, ancestry, branch_header_from_json
+from .branch import Branch, BranchError, IntegrityError, SelectionEntry, ancestry, branch_header_from_json
 from .lignify import SproutWrap, selection_tree
 from .state import ProtocolState
 from .store import MemoryStore, MissingRecord
@@ -240,8 +240,18 @@ def build_gossip_payload(peer: Peer, branch_id: ContentId, receiver: str | None 
 
 
 def receive_gossip(world: World, peer: Peer, payload: bytes):
+    """Apply a gossip payload; one that is not the gossip list raises SimError before any of it applies."""
     state = peer.state
-    _, _, headers, wraps, proofs, records, ousted, spent = canonical_decode(payload)
+    try:
+        tag, _, headers, wraps, proofs, records, ousted, spent = canonical_decode(payload)
+        ousted = [(ContentId.from_hex(sprout), ContentId.from_hex(reference)) for sprout, reference in ousted]
+        spent = [ContentId.from_hex(cid_hex) for cid_hex in spent]
+        wellformed = (tag == b"gossip" and all(type(x) is list for x in (headers, wraps, proofs, records))
+                      and all(type(x) is str for x in headers) and all(type(x) is bytes for x in records))
+    except (CodecError, TypeError, ValueError) as exc:
+        raise SimError(f"malformed gossip payload: {exc}") from exc
+    if not wellformed:
+        raise SimError("malformed gossip payload: a field of the wrong type")
     for record in records:
         state.store.put(record)
     for wrap in wraps:
@@ -250,17 +260,15 @@ def receive_gossip(world: World, peer: Peer, payload: bytes):
     for proof in proofs:
         if isinstance(proof, ContributionProof):
             state.add_proof(proof)
-    for sprout_hex, reference_hex in ousted:
-        state.ousted.setdefault(ContentId.from_hex(sprout_hex), ContentId.from_hex(reference_hex))
-    for cid_hex in spent:
-        state.spent.add(ContentId.from_hex(cid_hex))
+    for sprout, reference in ousted:
+        state.ousted.setdefault(sprout, reference)
+    state.spent.update(spent)
     changed = False
     for header_text in headers:
         adopted, waiting = adopt_header(state, header_text)
         changed |= adopted
         if waiting:
-            data = json.loads(header_text)
-            peer.pending_headers[data["branch_id"] + data["stable_head"]] = header_text
+            peer.pending_headers[waiting] = header_text
     # new records may unlock headers buffered from earlier out-of-order gossip
     for key in list(peer.pending_headers):
         adopted, waiting = adopt_header(state, peer.pending_headers[key])
@@ -287,32 +295,36 @@ def _merge_selections(local: Branch, remote: Branch):
         by_sprout[entry.sprout] = merged
 
 
-def adopt_header(state: ProtocolState, header_text: str) -> tuple[bool, bool]:
+def adopt_header(state: ProtocolState, header_text: str) -> tuple[bool, str | None]:
     """Join a remote branch header into the local state.
 
     Equal heads union their consensus entries; a remote head that extends the
     local chain is adopted wholesale; divergent twig heads resolve to the
-    longer chain (then larger head id).  Returns (changed, waiting): a
-    header whose chain down to the singularity misses a record reports
-    waiting True, so the caller can retry it once the record arrives.  A
-    header that can never resolve (a null head, a record in its chain that
-    is not a submit or does not decode, or a cycle) is ignored.
+    longer chain (then larger head id).  Returns (changed, waiting): for a
+    header whose chain down to the singularity misses a record, waiting is
+    the key (branch id and head in hex) to hold it under until the record
+    arrives, else None.  A header that does not read or can never resolve (a
+    null head, a record in its chain that is not a submit or does not
+    decode, or a cycle) is ignored.
     """
-    remote = branch_header_from_json(json.loads(header_text))
+    try:
+        remote = branch_header_from_json(json.loads(header_text))
+    except (ValueError, BranchError):  # not JSON, or not a header
+        return False, None
     if remote.stable_head.is_null():
-        return False, False
+        return False, None
     local = state.branches.get(remote.branch_id)
     # a local chain always resolves, so the walk may stop at the local head
     stop = () if local is None else (local.stable_head,)
     try:
         remote_chain = list(ancestry(state.store, remote.stable_head, stop))
     except MissingRecord:
-        return False, True
+        return False, remote.branch_id.hex + remote.stable_head.hex
     except (IntegrityError, CodecError):
-        return False, False
+        return False, None
     if local is None:
         state.add_branch(remote)
-        return True, False
+        return True, None
     before = local.fingerprint()
     if local.stable_head == remote.stable_head:
         _merge_selections(local, remote)
@@ -324,11 +336,8 @@ def adopt_header(state: ProtocolState, header_text: str) -> tuple[bool, bool]:
         if local.parent_branch.is_null() and not remote.parent_branch.is_null():
             local.parent_branch = remote.parent_branch
             local.config = remote.config
-        elif local.config != remote.config:
-            mine = json.dumps(local.config.to_json(), sort_keys=True)
-            theirs = json.dumps(remote.config.to_json(), sort_keys=True)
-            if theirs < mine:
-                local.config = remote.config
+        elif local.config != remote.config:  # the config with the lesser JSON text
+            local.config = min(local.config, remote.config, key=lambda c: json.dumps(c.to_json(), sort_keys=True))
     elif remote_chain[-1][1].parent == local.stable_head:  # the walk stopped at the local head
         _adopt_fields(local, remote)
     else:
@@ -339,7 +348,7 @@ def adopt_header(state: ProtocolState, header_text: str) -> tuple[bool, bool]:
     changed = local.fingerprint() != before
     if changed:
         state.touch(local.branch_id)
-    return changed, False
+    return changed, None
 
 
 def _adopt_fields(local: Branch, remote: Branch):

@@ -1,5 +1,6 @@
 import random
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import pytest
 
@@ -7,12 +8,20 @@ from lakat.bucket import create_atomic_bucket, is_molecular
 from lakat.codec import LogicalTimestamp, NULL_ID, canonical_encode, content_id
 from lakat.identity import make_contribution_proof
 from lakat.branch import (
+    HEADER_FIELDS,
+    AcceptanceRule,
     Branch,
+    BranchConfig,
+    BranchError,
     ConflictRecord,
     ContributorSet,
     IntegrityError,
+    Rational,
+    SelectionEntry,
     Submit,
     SubmitTrace,
+    Veto,
+    Vote,
     branch_header_from_json,
     collect_evidence,
     compute_branch_id,
@@ -631,14 +640,38 @@ def test_early_exit_membership_agrees_with_closure_through_fuzz_run():
 
 
 def test_header_json_roundtrip(state, alice):
-    branch = create_genesis_branch(state, proper_config(), alice, tick(0), token_attestation=b"tok")
-    text = branch.header_text()
-    data = json.loads(text)
-    for key in ("branch_id", "parent_branch", "branch_config", "stable_head",
-                "sprouts", "sprout_selection", "branch_token", "timestamp"):
-        assert key in data
-    rebuilt = branch_header_from_json(data)
-    assert rebuilt.header_text() == text
+    """A genesis header and one that fills every header field read back to
+    the same text and the same branch; the JSON table lists every field."""
+    genesis = create_genesis_branch(state, proper_config(), alice, tick(0), token_attestation=b"tok")
+    sprout, rival = content_id(b"sprout"), content_id(b"rival")
+    entry = SelectionEntry(sprout, (Veto(sprout, b"vetoer", 3, b"veto sig"),), (Vote(sprout, b"voter", 4, b"vote sig"),))
+    full = replace(genesis, timestamp=LogicalTimestamp(7, b"anchor"), sprouts={sprout, rival},
+                   config=proper_config(acceptance_rule=AcceptanceRule("fraction", Rational(2, 3))),
+                   sprout_selection=[entry], branch_token=[b"tok", b"tok 2"], stale=True)
+    for branch in (genesis, full):
+        text = branch.header_text()
+        data = json.loads(text)
+        for key in ("branch_id", "parent_branch", "branch_config", "stable_head",
+                    "sprouts", "sprout_selection", "branch_token", "timestamp"):
+            assert key in data
+        rebuilt = branch_header_from_json(data)
+        assert rebuilt.header_text() == text and rebuilt == branch
+    for cls in (Branch, BranchConfig, AcceptanceRule, SelectionEntry, Veto, Vote):
+        assert {spec.rstrip("?") for spec in HEADER_FIELDS[cls]} == {f.name for f in fields(cls)}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: data.update(surplus=1), "unknown field 'surplus'"),
+    (lambda data: data["branch_config"]["acceptance_rule"].pop("kind"), "branch_config: acceptance_rule: kind: missing"),
+    (lambda data: data["timestamp"].update(tick=-1), "timestamp: tick must be a non-negative integer"),
+    (lambda data: data.update(sprout_selection=[5]), "sprout_selection: must be an object"),
+    (lambda data: data["branch_config"].update(min_reviewers=-1), "branch_config: min_reviewers must be a non-negative"),
+])
+def test_header_reader_names_the_field_it_cannot_read(state, alice, edit, message):
+    data = create_genesis_branch(state, proper_config(), alice, tick(0)).header_json()
+    edit(data)
+    with pytest.raises(BranchError, match=f"^{re.escape(message)}"):
+        branch_header_from_json(data)
 
 
 # -- graph shape -------------------------------------------------------------------

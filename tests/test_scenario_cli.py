@@ -161,7 +161,7 @@ _REVIEW_STEPS = [  # appended to MINIMAL as steps 5 and 6: a review whose text i
     (lambda s: s["steps"][0].update(config={"colour": 1}), "step 0: unknown config field 'colour'"),
     (lambda s: s["steps"][0].update(config=[1]), "step 0: config must be an object"),
     (lambda s: s["steps"][0].update(config={"acceptance_rule": 5}),
-     "step 0: create_branch rejected: config unreadable: AttributeError"),
+     "step 0: create_branch rejected: config unreadable: BranchError: acceptance_rule: must be an object"),
     (lambda s: s["steps"][1].update(payload=5), "step 1: payload must be a string"),
     (lambda s: s["steps"].extend(_REVIEW_STEPS), "step 6: text must be a string"),
     (lambda s: s["steps"][0].update(name=["x"]), "step 0: name must be a string"),
@@ -290,13 +290,13 @@ def _head_on_garbage_trie(peer_dir):
     (lambda d: (d / "trie_roots.json").write_text("\xff"), "p1: trie_roots.json is not a JSON object"),
     (lambda d: (d / "trie_roots.json").write_text('"roots"'), "p1: trie_roots.json is not a JSON object"),
     (_edit_json("headers.json", lambda h, _: [e.pop("stable_head") for e in h.values()]),
-     "header unreadable: KeyError"),
+     "header unreadable: stable_head: missing"),
     (_edit_json("headers.json", lambda h, _: [e.update(stable_head="zz" * 33) for e in h.values()]),
-     "header unreadable: ValueError"),
+     "header unreadable: stable_head: non-hexadecimal number found in fromhex() arg at position 0"),
     (_edit_json("headers.json", lambda h, _: [e.update(stable_head="00") for e in h.values()]),
-     "header unreadable: CodecError"),
+     "header unreadable: stable_head: content id hex must be 66 chars"),
     (_edit_json("headers.json", lambda h, _: [e.update(branch_token=5) for e in h.values()]),
-     "header unreadable: TypeError"),
+     "header unreadable: branch_token: 'int' object is not iterable"),
     (_edit_json("headers.json", _head_on_trie_root), "fails: ['history-integrity']"),
     (_head_on_garbage_trie, "trie unreadable: truncated salted leaf record"),
     (_directory_in_place_of("store.log"), "p1: store.log unreadable: "),

@@ -9,7 +9,7 @@ from lakat.identity import make_contribution_proof
 from lakat.branch import get_submit
 from lakat.ops import create_genesis_branch, create_rooted_branch
 from lakat.review import twig_push
-from lakat.sim import BRANCH_REQUEST, GOSSIP, SimConfig, World, receive_gossip, route_request
+from lakat.sim import BRANCH_REQUEST, GOSSIP, SimConfig, SimError, World, receive_gossip, route_request
 from lakat.state import build_content_submit
 from lakat.store import MemoryStore
 from conftest import proper_config, twig_config
@@ -237,7 +237,8 @@ def test_twig_fork_resolves_deterministically():
 def test_header_that_can_never_resolve_is_dropped():
     """A header whose stable head names a bucket, bytes that decode to
     nothing, or the null id is dropped instead of raising or waiting, for a
-    known branch and for an unknown one."""
+    known branch and for an unknown one; so is a header that does not read.
+    A payload that is not the gossip list raises SimError."""
     world = make_world(peers=("p1", "p2"))
     p2 = world.peers["p2"]
     branch = create_on(world, "p1")
@@ -258,6 +259,16 @@ def test_header_that_can_never_resolve_is_dropped():
             assert p2.state.branches[branch.branch_id].stable_head == held
             assert unknown not in p2.state.branches
             assert branch_id.hex + head.hex not in p2.pending_headers
+    for header in ("{}", '{"branch_id": 5}', "not json"):
+        receive_gossip(world, p2, canonical_encode([b"gossip", branch.branch_id, [header], [], [], [], [], []]))
+        assert p2.state.branches[branch.branch_id].stable_head == held and not p2.pending_headers
+    for fields in ([b"gossip", branch.branch_id], [b"gossip", branch.branch_id, [5], [], [], [], [], []],
+                   [b"gossip", branch.branch_id, [], [], [], ["record"], [], []],
+                   [b"gossip", branch.branch_id, [], [], [], [], [], ["zz"]], b"gossip"):
+        with pytest.raises(SimError):
+            receive_gossip(world, p2, canonical_encode(fields))
+    with pytest.raises(SimError):
+        receive_gossip(world, p2, b"\xff")
     assert len(p2.state.contributors(branch.branch_id).all_keys()) == 1
 
 
