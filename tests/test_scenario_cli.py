@@ -297,13 +297,25 @@ def _head_on_garbage_trie(peer_dir):
      "header unreadable: stable_head: content id hex must be 66 chars"),
     (_edit_json("headers.json", lambda h, _: [e.update(branch_token=5) for e in h.values()]),
      "header unreadable: branch_token: 'int' object is not iterable"),
+    (_edit_json("headers.json", lambda h, _: [e.update(surplus=1) for e in h.values()]),
+     "header unreadable: unknown field 'surplus'"),
+    (_edit_json("headers.json", lambda h, _: [e["branch_config"]["acceptance_rule"].pop("kind") for e in h.values()]),
+     "header unreadable: branch_config: acceptance_rule: kind: missing"),
+    (_edit_json("headers.json", lambda h, _: [e["timestamp"].update(tick=-1) for e in h.values()]),
+     "header unreadable: timestamp: tick must be a non-negative integer"),
+    (_edit_json("headers.json", lambda h, _: [e.update(sprout_selection=[5]) for e in h.values()]),
+     "header unreadable: sprout_selection: must be an object"),
+    (_edit_json("headers.json", lambda h, _: [e["branch_config"].update(min_reviewers=-1) for e in h.values()]),
+     "header unreadable: branch_config: min_reviewers must be a non-negative integer"),
     (_edit_json("headers.json", _head_on_trie_root), "fails: ['history-integrity']"),
     (_head_on_garbage_trie, "trie unreadable: truncated salted leaf record"),
     (_directory_in_place_of("store.log"), "p1: store.log unreadable: "),
     (_directory_in_place_of("headers.json"), "p1: headers.json unreadable: "),
     (_directory_in_place_of("trie_roots.json"), "p1: trie_roots.json unreadable: "),
 ], ids=["headers-not-json", "headers-list", "roots-not-utf8", "roots-string", "header-missing-key",
-        "header-bad-hex", "header-short-id", "header-wrong-type", "head-not-a-submit", "trie-root-garbage",
+        "header-bad-hex", "header-short-id", "header-wrong-type", "header-unknown-key",
+        "header-rule-without-kind", "header-negative-tick", "header-entry-not-object", "header-bad-config",
+        "head-not-a-submit", "trie-root-garbage",
         "log-is-a-directory", "headers-is-a-directory", "roots-is-a-directory"])
 def test_cli_verify_reports_bad_dump_file_in_one_line(tmp_path, capsys, edit, line):
     dump_dir = _dump_minimal(tmp_path, capsys)
