@@ -37,6 +37,11 @@ def _config(branch_type, **overrides):
     return BranchConfig(**defaults)
 
 
+# the short runs whose transcript hash and state digest tests/golden/fuzz.json freezes
+FUZZ_GOLDEN_SEEDS = (1, 2)
+FUZZ_GOLDEN_EVENTS = 800
+
+
 def state_digest(world, assertions=()) -> str:
     """SHA-256 over the final state of a run: each peer's sorted header JSON
     and sorted record ids, the decision log, and the scenario assertions.

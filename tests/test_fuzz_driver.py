@@ -1,10 +1,18 @@
 """The fuzz driver's prefix check walks only the new suffix of each proper
 branch; it must still flag a head that does not descend from the last one."""
 
+import json
+import os
+
+import pytest
+
 from lakat.branch import Submit, SubmitTrace, get_submit
 
 from conftest import tick
-from fuzz_driver import FuzzRun
+from fuzz_driver import FUZZ_GOLDEN_EVENTS, FUZZ_GOLDEN_SEEDS, FuzzRun, state_digest
+
+with open(os.path.join(os.path.dirname(__file__), "golden", "fuzz.json")) as _fh:
+    FUZZ_GOLDEN = json.load(_fh)
 
 
 def _moved_run():
@@ -47,3 +55,16 @@ def test_prefix_check_flags_a_head_moved_back():
     core.stable_head = get_submit(state.store, core.stable_head).parent
     run._check_prefixes()
     assert run.violations == [("p1", run.core_id.hex)]
+
+
+@pytest.mark.parametrize("seed", FUZZ_GOLDEN_SEEDS)
+def test_short_fuzz_runs_keep_their_frozen_bytes(seed):
+    """Short fuzz runs reproduce the transcript hash and state digest that
+    scripts/freeze_golden.py froze; an engine change that moves any gossip,
+    record or header byte of a multi-peer run shows here."""
+    run = FuzzRun(seed).run(FUZZ_GOLDEN_EVENTS)
+    assert run.violations == []
+    assert sorted(FUZZ_GOLDEN) == [str(s) for s in FUZZ_GOLDEN_SEEDS]
+    expected = FUZZ_GOLDEN[str(seed)]
+    assert run.world.transcript_hash() == expected["transcript"], f"fuzz seed {seed} transcript drifted"
+    assert state_digest(run.world) == expected["state"], f"fuzz seed {seed} final state drifted"
