@@ -8,7 +8,7 @@ reachable through belt-tip pointers in the submit trace, never by rebasing.
 from __future__ import annotations
 
 import json
-from collections.abc import Set
+from collections.abc import Iterable, Set
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -644,7 +644,7 @@ def collect_evidence(branch: Branch, store: Store, held: Evidence | None = None)
 
 def derive_contributors(
     branch: Branch,
-    proofs: list[ContributionProof],
+    proofs: Iterable[ContributionProof],
     store: Store,
     evidence: Evidence | None = None,
 ) -> ContributorSet:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields as dc_fields
+from operator import attrgetter
 
 SHA256_TAG = 0x01
 DIGEST_LEN = 32
@@ -86,11 +87,12 @@ class ContentId(bytes):
 
 NULL_ID = ContentId(0x00, b"\x00" * DIGEST_LEN)
 _SHA256_PREFIX = bytes((SHA256_TAG,))
+_ID_LEN, _new_bytes = 1 + DIGEST_LEN, bytes.__new__
 
 
 def content_id(data: bytes) -> ContentId:
     """Content id of raw bytes: SHA-256 under the fixed algorithm tag."""
-    return bytes.__new__(ContentId, _SHA256_PREFIX + hashlib.sha256(data).digest())
+    return _new_bytes(ContentId, _SHA256_PREFIX + hashlib.sha256(data).digest())
 
 
 @dataclass(frozen=True)
@@ -103,54 +105,6 @@ class LogicalTimestamp:
     def __post_init__(self):
         if type(self.tick) is not int or self.tick < 0:
             raise CodecError("tick must be a non-negative integer")
-
-
-# struct registry: type code <-> dataclass
-_STRUCT_BY_CODE: dict[int, type] = {}
-_CODE_BY_CLASS: dict[type, int] = {}
-_FIELDS_BY_CLASS: dict[type, tuple] = {}
-# (index, name, type, None allowed) of each field annotated `ContentId` or
-# `bytes`, optionally `| None`; the decoder holds such fields to that type
-_TYPED_FIELDS_BY_CLASS: dict[type, tuple] = {}
-# (index, name, None allowed, element types allowed) of each field
-# annotated `tuple[ContentId, ...]`, optionally with `| None` on the element
-# or on the field; the decoder holds every element to those types
-_ID_TUPLE_FIELDS_BY_CLASS: dict[type, tuple] = {}
-_EXACT_TYPES = {"ContentId": ContentId, "bytes": bytes}
-_NONE_SUFFIX = " | None"
-
-
-def protocol_struct(code: int):
-    """Class decorator registering a dataclass as an encodable struct."""
-
-    def register(cls):
-        if code in _STRUCT_BY_CODE:
-            raise ValueError(f"struct code {code} already taken by {_STRUCT_BY_CODE[code]}")
-        _STRUCT_BY_CODE[code] = cls
-        _CODE_BY_CLASS[cls] = code
-        _FIELDS_BY_CLASS[cls] = tuple(field.name for field in dc_fields(cls))
-        typed, id_tuples = [], []
-        for index, field in enumerate(dc_fields(cls)):
-            kind = str(field.type)
-            nullable = kind.endswith(_NONE_SUFFIX)
-            kind = kind.removesuffix(_NONE_SUFFIX)
-            if kind in _EXACT_TYPES:
-                typed.append((index, field.name, _EXACT_TYPES[kind], nullable))
-            elif kind in ("tuple[ContentId, ...]", "tuple[ContentId | None, ...]"):
-                allowed = {ContentId, type(None)} if _NONE_SUFFIX in kind else {ContentId}
-                id_tuples.append((index, field.name, nullable, frozenset(allowed)))
-        _TYPED_FIELDS_BY_CLASS[cls] = tuple(typed)
-        _ID_TUPLE_FIELDS_BY_CLASS[cls] = tuple(id_tuples)
-        return cls
-
-    return register
-
-
-def is_protocol_struct(value) -> bool:
-    return type(value) in _CODE_BY_CLASS
-
-
-protocol_struct(1)(LogicalTimestamp)
 
 
 def _write_varint(out: bytearray, value: int) -> None:
@@ -186,114 +140,172 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
             raise CodecError("varint too long")
 
 
-def _encode_value(out: bytearray, value) -> None:
-    if value is None:
-        out.append(_K_ABSENT)
-    elif isinstance(value, ContentId):  # before bytes: an id is a bytes value
-        out.append(_K_CID)
-        out.extend(value)
-    elif isinstance(value, bool):
-        out.append(_K_BOOL)
-        out.append(1 if value else 0)
-    elif isinstance(value, int):
-        out.append(_K_UINT)
-        _write_varint(out, value)
-    elif isinstance(value, bytes):
-        out.append(_K_BYTES)
-        _write_varint(out, len(value))
-        out.extend(value)
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out.append(_K_TEXT)
-        _write_varint(out, len(raw))
-        out.extend(raw)
-    elif isinstance(value, (list, tuple)):
-        out.append(_K_LIST)
-        _write_varint(out, len(value))
-        for item in value:
-            _encode_value(out, item)
-    elif type(value) in _CODE_BY_CLASS:
-        out.append(_K_STRUCT)
-        _write_varint(out, _CODE_BY_CLASS[type(value)])
-        for name in _FIELDS_BY_CLASS[type(value)]:
-            _encode_value(out, getattr(value, name))
-    else:
-        raise CodecError(f"unencodable value kind: {type(value).__name__}")
+# struct registry: type code <-> dataclass
+_STRUCT_BY_CODE: dict[int, type] = {}
+# dataclass -> (its kind tag and type code as encoded, its field values as one tuple)
+_ENCODING_BY_CLASS: dict[type, tuple] = {}
+_FIELDS_BY_CLASS: dict[type, tuple] = {}
+# (index, name, type, None allowed) of each field annotated `ContentId` or
+# `bytes`, optionally `| None`; the decoder holds such fields to that type
+_TYPED_FIELDS_BY_CLASS: dict[type, tuple] = {}
+# (index, name, None allowed, element types allowed) of each field
+# annotated `tuple[ContentId, ...]`, optionally with `| None` on the element
+# or on the field; the decoder holds every element to those types
+_ID_TUPLE_FIELDS_BY_CLASS: dict[type, tuple] = {}
+_EXACT_TYPES = {"ContentId": ContentId, "bytes": bytes}
+_NONE_SUFFIX = " | None"
 
 
-def _decode_value(data: bytes, pos: int):
-    if pos >= len(data):
-        raise CodecError("truncated value")
-    kind = data[pos]
-    pos += 1
-    if kind == _K_ABSENT:
-        return None, pos
-    if kind == _K_BOOL:
-        if pos >= len(data):
-            raise CodecError("truncated bool")
-        if data[pos] > 1:
-            raise CodecError(f"bool byte must be 0 or 1, not {data[pos]}")
-        return data[pos] == 1, pos + 1
-    if kind == _K_UINT:
-        return _read_varint(data, pos)
-    if kind in (_K_BYTES, _K_TEXT):
-        length, pos = _read_varint(data, pos)
-        if pos + length > len(data):
-            raise CodecError("truncated bytes")
-        raw = data[pos : pos + length]
-        pos += length
-        if kind == _K_BYTES:
-            return raw, pos
-        try:
-            return raw.decode("utf-8"), pos
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"text is not valid UTF-8: {exc.reason}") from exc
-    if kind == _K_CID:
-        if pos + 1 + DIGEST_LEN > len(data):
-            raise CodecError("truncated content id")
-        end = pos + 1 + DIGEST_LEN
-        return bytes.__new__(ContentId, data[pos:end]), end
-    if kind == _K_LIST:
-        count, pos = _read_varint(data, pos)
-        items = []
-        for _ in range(count):
-            item, pos = _decode_value(data, pos)
-            items.append(item)
-        return items, pos
-    if kind == _K_STRUCT:
-        code, pos = _read_varint(data, pos)
-        cls = _STRUCT_BY_CODE.get(code)
-        if cls is None:
-            raise CodecError(f"unknown struct code {code}")
-        values = []
-        for _ in _FIELDS_BY_CLASS[cls]:
-            value, pos = _decode_value(data, pos)
-            values.append(value)
-        for index, name, exact, nullable in _TYPED_FIELDS_BY_CLASS[cls]:
-            if type(values[index]) is not exact and not (nullable and values[index] is None):
-                raise CodecError(f"{cls.__name__}.{name} must hold {exact.__name__}")
-        for index, name, nullable, allowed in _ID_TUPLE_FIELDS_BY_CLASS[cls]:
-            items = values[index]
-            if not (allowed.issuperset(map(type, items)) if type(items) is list
-                    else nullable and items is None):
-                raise CodecError(f"{cls.__name__}.{name} must hold a list of ContentId")
-        try:
-            return cls(*values), pos
-        except (LakatError, TypeError, ValueError) as exc:  # fields fail __post_init__ or are mistyped
-            raise CodecError(f"invalid {cls.__name__} fields: {exc}") from exc
-    raise CodecError(f"unknown value kind tag {kind:#x}")
+def protocol_struct(code: int):
+    """Class decorator registering a dataclass as an encodable struct."""
+
+    def register(cls):
+        if code in _STRUCT_BY_CODE:
+            raise ValueError(f"struct code {code} already taken by {_STRUCT_BY_CODE[code]}")
+        _STRUCT_BY_CODE[code] = cls
+        names = _FIELDS_BY_CLASS[cls] = tuple(field.name for field in dc_fields(cls))
+        head = bytearray((_K_STRUCT,))
+        _write_varint(head, code)
+        _ENCODING_BY_CLASS[cls] = (bytes(head), attrgetter(*names) if len(names) > 1
+                                   else lambda value: tuple(getattr(value, name) for name in names))
+        typed, id_tuples = [], []
+        for index, field in enumerate(dc_fields(cls)):
+            kind = str(field.type)
+            nullable = kind.endswith(_NONE_SUFFIX)
+            kind = kind.removesuffix(_NONE_SUFFIX)
+            if kind in _EXACT_TYPES:
+                typed.append((index, field.name, _EXACT_TYPES[kind], nullable))
+            elif kind in ("tuple[ContentId, ...]", "tuple[ContentId | None, ...]"):
+                allowed = {ContentId, type(None)} if _NONE_SUFFIX in kind else {ContentId}
+                id_tuples.append((index, field.name, nullable, frozenset(allowed)))
+        _TYPED_FIELDS_BY_CLASS[cls] = tuple(typed)
+        _ID_TUPLE_FIELDS_BY_CLASS[cls] = tuple(id_tuples)
+        return cls
+
+    return register
+
+
+def is_protocol_struct(value) -> bool:
+    return type(value) in _ENCODING_BY_CLASS
+
+
+protocol_struct(1)(LogicalTimestamp)
+
+
+def _encode_values(out: bytearray, values) -> None:
+    """Append each value's encoding: one loop on exact type, recursing only into lists and structs."""
+    append, extend = out.append, out.extend
+    for value in values:
+        kind = type(value)
+        if kind is ContentId:
+            append(_K_CID)
+            extend(value)
+        elif value is None:
+            append(_K_ABSENT)
+        elif kind is tuple or kind is list:
+            append(_K_LIST)
+            append(len(value)) if len(value) < 0x80 else _write_varint(out, len(value))
+            _encode_values(out, value)
+        elif kind is bytes:
+            append(_K_BYTES)
+            append(len(value)) if len(value) < 0x80 else _write_varint(out, len(value))
+            extend(value)
+        elif kind is str:
+            raw = value.encode("utf-8")
+            append(_K_TEXT)
+            append(len(raw)) if len(raw) < 0x80 else _write_varint(out, len(raw))
+            extend(raw)
+        elif kind is int:
+            append(_K_UINT)
+            append(value) if 0 <= value < 0x80 else _write_varint(out, value)
+        elif kind in _ENCODING_BY_CLASS:
+            head, field_values = _ENCODING_BY_CLASS[kind]
+            extend(head)
+            _encode_values(out, field_values(value))
+        elif kind is bool:
+            extend((_K_BOOL, 1 if value else 0))
+        else:  # a subclass of a plain kind too: dispatch is on exact type
+            raise CodecError(f"unencodable value kind: {kind.__name__}")
+
+
+def _build_struct(cls, values: list):
+    """The struct of decoded field values, once every typed field holds its type."""
+    for index, name, exact, nullable in _TYPED_FIELDS_BY_CLASS[cls]:
+        if type(values[index]) is not exact and not (nullable and values[index] is None):
+            raise CodecError(f"{cls.__name__}.{name} must hold {exact.__name__}")
+    for index, name, nullable, allowed in _ID_TUPLE_FIELDS_BY_CLASS[cls]:
+        items = values[index]
+        if not (allowed.issuperset(map(type, items)) if type(items) is list
+                else nullable and items is None):
+            raise CodecError(f"{cls.__name__}.{name} must hold a list of ContentId")
+    try:
+        return cls(*values)
+    except (LakatError, TypeError, ValueError) as exc:  # fields fail __post_init__ or are mistyped
+        raise CodecError(f"invalid {cls.__name__} fields: {exc}") from exc
+
+
+def _decode_values(data: bytes, pos: int, count: int) -> tuple[list, int]:
+    """Decode count values from pos: one loop on the kind tag, recursing only into lists and structs."""
+    values, end = [], len(data)
+    append = values.append
+    for _ in range(count):
+        if pos >= end:
+            raise CodecError("truncated value")
+        kind = data[pos]
+        pos += 1
+        if kind == _K_CID:
+            if pos + _ID_LEN > end:
+                raise CodecError("truncated content id")
+            append(_new_bytes(ContentId, data[pos : pos + _ID_LEN]))
+            pos += _ID_LEN
+        elif kind == _K_ABSENT:
+            append(None)
+        elif kind == _K_BOOL:
+            if pos >= end:
+                raise CodecError("truncated bool")
+            if data[pos] > 1:
+                raise CodecError(f"bool byte must be 0 or 1, not {data[pos]}")
+            append(data[pos] == 1)
+            pos += 1
+        elif kind > _K_BOOL:
+            raise CodecError(f"unknown value kind tag {kind:#x}")
+        else:  # each other kind goes on with a varint: the number, a length, a count or a struct code
+            number, pos = (data[pos], pos + 1) if pos < end and data[pos] < 0x80 else _read_varint(data, pos)
+            if kind == _K_UINT:
+                append(number)
+            elif kind == _K_LIST:
+                items, pos = _decode_values(data, pos, number)
+                append(items)
+            elif kind == _K_STRUCT:
+                cls = _STRUCT_BY_CODE.get(number)
+                if cls is None:
+                    raise CodecError(f"unknown struct code {number}")
+                fields, pos = _decode_values(data, pos, len(_FIELDS_BY_CLASS[cls]))
+                append(_build_struct(cls, fields))
+            elif pos + number > end:
+                raise CodecError("truncated bytes")
+            elif kind == _K_BYTES:
+                append(data[pos : pos + number])
+                pos += number
+            else:
+                try:
+                    append(data[pos : pos + number].decode("utf-8"))
+                except UnicodeDecodeError as exc:
+                    raise CodecError(f"text is not valid UTF-8: {exc.reason}") from exc
+                pos += number
+    return values, pos
 
 
 def canonical_encode(value) -> bytes:
     """Deterministic canonical byte encoding of a protocol value."""
     out = bytearray()
-    _encode_value(out, value)
+    _encode_values(out, (value,))
     return bytes(out)
 
 
 def canonical_decode(data: bytes):
     """Inverse of canonical_encode; rejects trailing garbage."""
-    value, pos = _decode_value(data, 0)
+    (value,), pos = _decode_values(data, 0, 1)
     if pos != len(data):
         raise CodecError(f"{len(data) - pos} trailing bytes after value")
     return value

@@ -475,11 +475,11 @@ def _verify_peer(peer_dir: str) -> list[str]:
     store = MemoryStore()
     try:
         with open_log(os.path.join(peer_dir, "store.log")) as fh:
-            for line_no, _, data, problem in read_log(fh):
+            for line_no, _, cid, data, problem in read_log(fh):
                 if problem is not None:
                     problems.append(f"store.log line {line_no} {problem}")
                 if data is not None:
-                    store.put(data)
+                    store.put(data, cid)
     except FileNotFoundError:
         pass  # an absent log is an empty store
     except OSError as exc:  # no records to check the headers against

@@ -56,7 +56,7 @@ class ProtocolState:
     def __init__(self, store: Store | None = None):
         self.store: Store = store if store is not None else MemoryStore()
         self.branches: dict[ContentId, Branch] = {}
-        self.proofs: dict[ContentId, list[ContributionProof]] = {}
+        self.proofs: dict[ContentId, dict[ContributionProof, None]] = {}  # branch -> proofs, in arrival order
         self.wraps: dict[ContentId, "object"] = {}  # sprout id -> SproutWrap
         self.ousted: dict[ContentId, ContentId] = {}  # sprout id -> reference branch
         self.spent: set[ContentId] = set()  # sprouts absorbed by donation
@@ -84,9 +84,7 @@ class ProtocolState:
         return self.requests.setdefault(branch_id, BranchRequests())
 
     def add_proof(self, proof: ContributionProof):
-        proofs = self.proofs.setdefault(proof.branch_id, [])
-        if proof not in proofs:
-            proofs.append(proof)
+        self.proofs.setdefault(proof.branch_id, {}).setdefault(proof)
 
     # -- contributors ------------------------------------------------------
 

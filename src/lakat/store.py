@@ -30,8 +30,8 @@ class Store:
     grows, so an entry never goes stale.  A value that read a record the
     store lacks is not kept.  By key:
     - _decoded: record -> its decoded protocol struct (get_object);
-    - node_cache: trie node -> its decoded node (trie.load_node), kept apart
-      so a trie root that names any other record fails to load;
+    - node_cache: trie node -> the node trie.store_node built or load_node
+      decoded, kept apart so a trie root that names any other record fails to load;
     - last_listing: the root listed last, with its bucket ids (trie.bucket_ids);
     - attestations: trie node -> storage attestation ids under it;
     - merge_index: submit -> belts merged in its inclusion closure and the
@@ -67,8 +67,8 @@ class MemoryStore(Store):
         self._records: dict[ContentId, bytes] = {}
         self._order: list[ContentId] = []
 
-    def put(self, data: bytes) -> ContentId:
-        cid = content_id(data)
+    def put(self, data: bytes, cid: ContentId | None = None) -> ContentId:
+        cid = cid or content_id(data)  # a cid given is content_id(data), as read_log computed it
         if cid not in self._records:
             self._records[cid] = data
             self._order.append(cid)
@@ -107,14 +107,14 @@ def write_log(fh, store: Store):
 
 
 def read_log(fh):
-    """Yield (line number, byte offset, record bytes, problem) per line of a
-    log from open_log, or of any iterable of its lines.  The problem is None,
-    "malformed" (bytes None), "id mismatch" (the bytes do not hash to the id),
-    or "torn": a last line without its newline (bytes None)."""
+    """Yield (line number, byte offset, content id, record bytes, problem) per line of a log
+    from open_log, or of any iterable of its lines; the id is the bytes' own.  The problem is
+    None, "malformed" (id and bytes None), "id mismatch" (the bytes do not hash to the id the
+    line names), or "torn": a last line without its newline (id and bytes None)."""
     offset = 0
     for line_no, line in enumerate(fh, 1):
         if line[-1] != "\n":
-            yield line_no, offset, None, "torn"
+            yield line_no, offset, None, None, "torn"
             return
         hex_id, _, hex_bytes = line.partition(" ")
         try:
@@ -122,9 +122,10 @@ def read_log(fh):
         except ValueError:
             data = None
         if data is None or len(hex_bytes) != 2 * len(data) + 1:  # fromhex skips inner spaces
-            yield line_no, offset, None, "malformed"
+            yield line_no, offset, None, None, "malformed"
         else:
-            yield line_no, offset, data, None if content_id(data).hex == hex_id else "id mismatch"
+            cid = content_id(data)
+            yield line_no, offset, cid, data, None if cid.hex == hex_id else "id mismatch"
         offset += len(line)
 
 
@@ -139,13 +140,13 @@ class FileStore(Store):
         self._offsets: dict[ContentId, int] = {}
         if os.path.exists(path):
             with open_log(path) as fh:
-                for line_no, offset, data, problem in read_log(fh):
+                for line_no, offset, cid, _, problem in read_log(fh):
                     if problem == "torn":
                         os.truncate(path, offset)
                     elif problem is not None:
                         raise StoreError(f"{path} line {line_no} {problem}")
                     else:
-                        self._offsets.setdefault(content_id(data), offset)
+                        self._offsets.setdefault(cid, offset)
         self._log = open_log(path, "a")
         self._end = os.path.getsize(path)
 
@@ -167,8 +168,8 @@ class FileStore(Store):
         with open(self.path, "rb") as fh:
             fh.seek(offset)
             line = fh.readline().decode("ascii", "replace")
-        for _, _, data, problem in read_log([line]):
-            if problem is None and content_id(data) == cid:
+        for _, _, held, data, problem in read_log([line]):
+            if problem is None and held == cid:
                 return data
         raise StoreError(f"{self.path} byte {offset} does not hold {cid.hex}")
 

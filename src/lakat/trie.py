@@ -77,7 +77,10 @@ def node_hash(node) -> ContentId:
 
 
 def store_node(store: Store, node) -> ContentId:
-    return store.put(_node_bytes(node))
+    """Store a node just built and seed node_cache with it: only nodes that came as bytes are decoded."""
+    cid = store.put(_node_bytes(node))
+    store.node_cache[cid] = node
+    return cid
 
 
 def decode_node(data: bytes):
@@ -190,13 +193,12 @@ def add_container(trie: Trie, container: ContentId, members) -> Trie:
 
 
 def _walk(store: Store, root: ContentId, key: bytes):
-    """Yield (node_bytes, node) along the lookup path, ending at leaf or divergence."""
+    """Yield (node id, node, remaining key) along the lookup path, ending at leaf or divergence."""
     node_id = root
     remaining = key
     while node_id is not None and node_id != NULL_ID:
-        data = store.get(node_id)
         node = load_node(store, node_id)
-        yield data, node, remaining
+        yield node_id, node, remaining
         if isinstance(node, TrieLeaf):
             return
         if isinstance(node, TrieExtension):
@@ -231,7 +233,7 @@ class TrieProof:
 
 def prove(trie: Trie, bucket_id: ContentId) -> TrieProof:
     key = trie_key(bucket_id)
-    nodes = [data for data, _, _ in _walk(trie.store, trie.root, key)]
+    nodes = [trie.store.get(node_id) for node_id, _, _ in _walk(trie.store, trie.root, key)]
     return TrieProof(tuple(nodes))
 
 

@@ -49,6 +49,10 @@ def test_roundtrip_protocol_objects():
         assert canonical_decode(canonical_encode(value)) == value
 
 
+class _Text(str):
+    pass
+
+
 def test_unencodable_kinds_raise():
     with pytest.raises(CodecError):
         canonical_encode({"a": 1})
@@ -56,6 +60,9 @@ def test_unencodable_kinds_raise():
         canonical_encode(3.14)
     with pytest.raises(CodecError):
         canonical_encode({1, 2})
+    # the encoder dispatches on exact type: a subclass of a plain kind is refused
+    with pytest.raises(CodecError, match="unencodable value kind: _Text"):
+        canonical_encode(["ok", _Text("sub")])
 
 
 def test_trailing_garbage_rejected():
@@ -260,9 +267,25 @@ def test_bool_byte_must_be_zero_or_one():
             canonical_decode(bytes([0x07, byte]))
 
 
-_CANONICAL_SAMPLES = [
-    canonical_encode(value)
-    for value in (
+def _salted_leaf():
+    from lakat.trie import TrieLeaf
+
+    return TrieLeaf(bytes([3, 0, 15]), content_id(b"value"), content_id(b"bucket"))
+
+
+def _sample_values() -> tuple:
+    """One value for each path through the encoder's and decoder's dispatch."""
+    from lakat.identity import ContributionProof
+    from lakat.lignify import SproutWrap
+    from lakat.trie import TrieBranch
+
+    cid = content_id(b"x")
+    proof = ContributionProof(b"pk", cid, "content", content_id(b"e"), b"sig")
+    children = [None] * 16
+    children[2], children[9] = cid, content_id(b"y")
+    gossip = [b"gossip", cid, ['{"branch_id": "01ab"}', "{}"], [SproutWrap(cid, cid, cid, b"pk", 7, cid)],
+              [proof], [b"\x06\x01\x00", b""], [[cid.hex, NULL_ID.hex]], [cid.hex]]
+    return (
         5,
         True,
         [b"ab", "héllo", None, [0, 300]],
@@ -271,8 +294,56 @@ _CANONICAL_SAMPLES = [
                SubmitTrace(new_buckets=(content_id(b"n"),)), LogicalTimestamp(3)),
         BranchConfig(acceptance_rule=AcceptanceRule("fraction", Rational(2, 3))),
         BucketInfo(bucket_refs_out=(content_id(b"o"),)),
+        TrieBranch(tuple(children)),
+        _salted_leaf(),
+        [n * 3 for n in range(128)],  # the least two-byte count; numbers of one and two bytes
+        bytes(range(128)),  # the least two-byte length
+        "naïve — 木の葉 🌳",  # two-, three- and four-byte UTF-8
+        "🌳" * 32,  # 128 bytes of UTF-8 in 32 characters
+        proof,
+        gossip,
     )
-]
+
+
+_CANONICAL_SAMPLES = [canonical_encode(value) for value in _sample_values()]
+
+
+def test_samples_roundtrip_and_every_strict_prefix_is_refused():
+    for value, data in zip(_sample_values(), _CANONICAL_SAMPLES):
+        assert canonical_decode(data) == value
+        assert canonical_encode(canonical_decode(data)) == data
+        for end in range(len(data)):
+            with pytest.raises(CodecError):
+                canonical_decode(data[:end])
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"", "truncated value"),
+    (canonical_encode([None, None])[:-1], "truncated value"),
+    (canonical_encode(b"abc")[:-1], "truncated bytes"),
+    (canonical_encode("abc")[:-1], "truncated bytes"),
+    (canonical_encode(bytes(128))[:-1], "truncated bytes"),
+    (canonical_encode(content_id(b"x"))[:-1], "truncated content id"),
+    (b"\x07", "truncated bool"),
+    (canonical_encode(300)[:-1], "truncated varint"),
+    (canonical_encode([1, 2])[:-1], "truncated varint"),
+    (b"\x06\x7f", "unknown struct code 127"),
+    (b"\x03\x02\xc3\x28", "text is not valid UTF-8: invalid continuation byte"),
+    (canonical_encode(5) + b"\x00\x00", "2 trailing bytes after value"),
+] + [(bytes([tag, 1, 0x41]), f"unknown value kind tag {tag:#x}") for tag in (0x08, 0x09, 0x7F, 0x80, 0xFF)])
+def test_each_refusal_names_its_cause(data, message):
+    with pytest.raises(CodecError, match=f"^{message}$"):
+        canonical_decode(data)
+
+
+def test_every_strict_prefix_of_a_salted_leaf_record_is_refused():
+    from lakat.trie import TrieError, _node_bytes, decode_node
+
+    record = _node_bytes(_salted_leaf())
+    assert decode_node(record) == _salted_leaf()
+    for end in range(len(record)):
+        with pytest.raises((CodecError, TrieError)):
+            decode_node(record[:end])
 
 
 @st.composite

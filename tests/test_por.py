@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -297,6 +298,11 @@ def test_single_author_twig_pushes_freely(state, alice):
     for i in range(3):
         _push(state, twig, alice, b"c%d" % i, i + 1)
     assert len(state.proofs[twig.branch_id]) == 4
+    # an equal proof added again, by gossip or by the author, is held once, in its first place
+    held = list(state.proofs[twig.branch_id])
+    for proof in reversed(held):
+        state.add_proof(dataclasses.replace(proof))
+    assert list(state.proofs[twig.branch_id]) == held
 
 
 def test_non_contributor_push_rejected(state, alice, carol):

@@ -270,7 +270,7 @@ def _head_on_garbage_trie(peer_dir):
     that is not a trie node."""
     store = MemoryStore()
     with open_log(str(peer_dir / "store.log")) as fh:
-        for _, _, data, _ in read_log(fh):
+        for _, _, _, data, _ in read_log(fh):
             store.put(data)
     garbage = store.put(b"\xff garbage")
     headers = json.loads((peer_dir / "headers.json").read_text())

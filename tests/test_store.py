@@ -96,11 +96,11 @@ def test_read_log_reports_each_line(tmp_path):
     good = f"{content_id(data).hex} {data.hex()}\n"
     lines = [good, "zz zz\n", f"{content_id(data).hex} 01  02\n", f"{content_id(b'x').hex} {data.hex()}\n", "01ab"]
     assert list(read_log(lines)) == [
-        (1, 0, data, None),
-        (2, len(good), None, "malformed"),
-        (3, len(good) + 6, None, "malformed"),
-        (4, 2 * len(good) + 8, data, "id mismatch"),
-        (5, 3 * len(good) + 8, None, "torn"),
+        (1, 0, content_id(data), data, None),
+        (2, len(good), None, None, "malformed"),
+        (3, len(good) + 6, None, None, "malformed"),
+        (4, 2 * len(good) + 8, content_id(data), data, "id mismatch"),
+        (5, 3 * len(good) + 8, None, None, "torn"),
     ]
 
 
@@ -112,8 +112,8 @@ def test_write_log_then_read_log_roundtrip(tmp_path, rng):
     with open_log(path, "w") as fh:
         write_log(fh, store)
     with open_log(path) as fh:
-        read = [(data, problem) for _, _, data, problem in read_log(fh)]
-    assert read == [(store.get(cid), None) for cid in store.ids()]
+        read = [(cid, data, problem) for _, _, cid, data, problem in read_log(fh)]
+    assert read == [(cid, store.get(cid), None) for cid in store.ids()]
 
 
 def test_object_roundtrip(store):

@@ -10,8 +10,11 @@ from lakat.trie import (
     Trie,
     add_container,
     added_ids,
+    TrieBranch,
+    TrieError,
     TrieKeyCollision,
     TrieLeaf,
+    decode_node,
     bucket_ids,
     empty_trie,
     get,
@@ -283,6 +286,45 @@ def test_bucket_ids_keeps_the_last_listing(ids, data):
     for index in data.draw(st.lists(st.integers(0, len(tries) - 1), min_size=1, max_size=12)):
         assert bucket_ids(tries[index]) == _walked(tries[index])
         assert store.last_listing[0] == tries[index].root
+
+
+def _field_types(node) -> tuple:
+    types = [type(value) for value in vars(node).values()]
+    if type(node) is TrieBranch:
+        types += [type(child) for child in node.children]
+    return tuple(types)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ids=_shared_prefix_ids(), data=st.data())
+def test_seeded_node_cache_matches_decoding(ids, data):
+    """Every node store_node built and cached equals the decoding of its
+    stored bytes, field types included, and a store holding only those
+    bytes gives the same roots, listings and proofs."""
+    store = MemoryStore()
+    extra = [content_id(bytes([n])) for n in data.draw(st.lists(st.integers(0, 255), unique=True, max_size=12))]
+    updates = data.draw(st.lists(st.sampled_from(ids + extra), unique=True) if ids + extra else st.just([]))
+    first = _build(empty_trie(store), ids + extra, 0)
+    grown = _build(first, updates, 1)  # info updates: same keys, new leaves up to the root
+    for cid in store.ids():
+        if cid not in store.node_cache:  # only bucket infos were not built as nodes
+            with pytest.raises(TrieError):
+                decode_node(store.get(cid))
+            continue
+        node, decoded = store.node_cache[cid], decode_node(store.get(cid))
+        assert node == decoded and type(node) is type(decoded)
+        assert _field_types(node) == _field_types(decoded)
+    fresh = MemoryStore()
+    for cid in store.ids():
+        fresh.put(store.get(cid))
+    assert _build(Trie(first.root, fresh), updates, 1).root == grown.root
+    absent = content_id(b"absent")
+    for trie in (first, grown):
+        reread = Trie(trie.root, fresh)
+        assert items(reread) == items(trie) and bucket_ids(reread) == bucket_ids(trie)
+        for cid in ids + extra + [absent]:
+            assert prove(reread, cid) == prove(trie, cid)
+            assert get(reread, cid) == get(trie, cid)
 
 
 def test_added_ids_skips_info_updates_and_finds_split_extensions(store):
