@@ -107,39 +107,6 @@ class LogicalTimestamp:
             raise CodecError("tick must be a non-negative integer")
 
 
-def _write_varint(out: bytearray, value: int) -> None:
-    if value < 0:
-        raise CodecError("varint must be non-negative")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
-
-
-def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
-    """Shortest-form varint only: a zero final byte after the first would
-    decode to the same value as the shorter encoding."""
-    result = 0
-    shift = 0
-    while True:
-        if pos >= len(data):
-            raise CodecError("truncated varint")
-        byte = data[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            if byte == 0 and shift:
-                raise CodecError("overlong varint")
-            return result, pos
-        shift += 7
-        if shift > 63:
-            raise CodecError("varint too long")
-
-
 # struct registry: type code <-> dataclass
 _STRUCT_BY_CODE: dict[int, type] = {}
 # dataclass -> (its kind tag and type code as encoded, its field values as one tuple)
@@ -187,6 +154,39 @@ def protocol_struct(code: int):
 
 def is_protocol_struct(value) -> bool:
     return type(value) in _ENCODING_BY_CLASS
+
+
+def _write_varint(out: bytearray, value: int) -> None:
+    if value < 0:
+        raise CodecError("varint must be non-negative")
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return
+
+
+def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
+    """Shortest-form varint only: a zero final byte after the first would
+    decode to the same value as the shorter encoding."""
+    result = 0
+    shift = 0
+    while True:
+        if pos >= len(data):
+            raise CodecError("truncated varint")
+        byte = data[pos]
+        pos += 1
+        result |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            if byte == 0 and shift:
+                raise CodecError("overlong varint")
+            return result, pos
+        shift += 7
+        if shift > 63:
+            raise CodecError("varint too long")
 
 
 protocol_struct(1)(LogicalTimestamp)
