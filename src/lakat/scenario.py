@@ -12,7 +12,7 @@ import os
 import re
 from dataclasses import asdict, dataclass, field, fields, replace
 
-from .codec import CodecError, ContentId, LakatError
+from .codec import NULL_ID, CodecError, ContentId, LakatError
 from .identity import KeyIdentity, make_contribution_proof
 from .branch import (
     Branch,
@@ -486,7 +486,7 @@ def _verify_peer(peer_dir: str) -> list[str]:
         problems.append(f"store.log unreadable: {exc.strerror}")
         return problems
     headers, roots = (_json_object(peer_dir, name, problems) for name in ("headers.json", "trie_roots.json"))
-    readable = set()  # trie roots read in full
+    read = set()  # trie nodes loaded with their whole subtree
     for bid_hex, header in headers.items():
         label = f"branch {bid_hex[:12]}"
         try:
@@ -503,16 +503,28 @@ def _verify_peer(peer_dir: str) -> list[str]:
                 head = get_submit(store, branch.stable_head)
                 if head.trie_root.hex != expected_root:
                     problems.append(f"{label} trie root mismatch")
-                elif head.trie_root not in readable:
+                else:
                     try:
-                        trie_mod.items(trie_mod.Trie(head.trie_root, store))  # must be fully readable
+                        _read_trie(store, head.trie_root, read)
                     except (trie_mod.TrieError, CodecError) as exc:
                         problems.append(f"{label} trie unreadable: {exc}")
-                    else:
-                        readable.add(head.trie_root)
         except MissingRecord as exc:
             problems.append(f"{label} misses record {exc}")
     return problems
+
+
+def _read_trie(store: MemoryStore, root: ContentId, read: set):
+    """Load each node under root that is not in read, depth first in nibble order as trie.items
+    does.  They join read only once all have loaded, so every trie reaching a bad node meets it."""
+    seen, stack = set(), [root]
+    while stack:
+        node_id = stack.pop()
+        if node_id not in read and node_id not in (None, NULL_ID):
+            seen.add(node_id)
+            node = trie_mod.load_node(store, node_id)
+            stack.extend(reversed(node.children) if isinstance(node, trie_mod.TrieBranch)
+                         else [node.child] if isinstance(node, trie_mod.TrieExtension) else [])
+    read |= seen
 
 
 def _json_object(peer_dir: str, name: str, problems: list[str]) -> dict:

@@ -2,9 +2,10 @@
 
 Peers hold independent protocol states and exchange two event kinds:
 gossiped branch state (header plus the content-addressed records backing
-it) and branch requests routed to contributors.  Events order by their own
-fields, never by their payload (see SimEvent), so a run is a pure function
-of config plus scenario.
+it) and branch requests routed to contributors.  Join/leave schedule
+entries are events in the same queue.  Events order by their own fields,
+never by their payload (see SimEvent), so a run is a pure function of
+config plus scenario.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .state import ProtocolState
 from .store import MemoryStore, MissingRecord
 
 GOSSIP, BRANCH_REQUEST, SCENARIO_ACTION = "gossip_state", "branch_request", "scenario_action"
+AVAILABILITY = "availability"  # a schedule entry, logged as "schedule": it applies before messages due that tick
 
 
 class SimError(LakatError):
@@ -70,17 +72,20 @@ class World:
         self.rng = random.Random(config.rng_seed)
         self.tick = 0
         self.seq = 0
-        self.queue: list = []
         self.transcript: list[str] = []
         self.decision_log: list[str] = []
         self.peers: dict[str, Peer] = {}
-        self._schedule = sorted(config.schedule, key=lambda item: (item[0], item[1]))
-        self._schedule_pos = 0
         self.hosts: dict[bytes, str] = {}  # contributor public key -> hosting peer
         for name in peer_names:
             identity = KeyIdentity.from_seed(f"peer:{config.rng_seed}:{name}".encode())
             self.peers[name] = Peer(name, identity)
             self.hosts[identity.public_key] = name
+        for entry in config.schedule:
+            tick, name, action = entry
+            if type(tick) is not int or tick < 0 or name not in self.peers or action not in ("join", "leave"):
+                raise SimError(f"bad schedule entry {entry!r}: needs a tick >= 0, a known peer, join or leave")
+        self.queue = sorted(SimEvent(tick, AVAILABILITY, name, "-", action, 0, b"")  # a sorted list is a heap
+                            for tick, name, action in config.schedule)
 
     def register_host(self, public_key: bytes, peer_name: str):
         if peer_name not in self.peers:
@@ -110,41 +115,35 @@ class World:
 
     # -- event plumbing ------------------------------------------------------
 
-    def emit(self, kind: str, src: str, dst: str, payload: bytes, summary: str, at: int | None = None):
+    def emit(self, kind: str, src: str, dst: str, payload: bytes, summary: str):
         self.seq += 1
-        deliver_tick = (self.tick if at is None else at) + self._latency()
-        heapq.heappush(self.queue, SimEvent(deliver_tick, kind, src, dst, summary, self.seq, payload))
+        heapq.heappush(self.queue, SimEvent(self.tick + self._latency(), kind, src, dst, summary, self.seq, payload))
 
-    def _apply_schedule_until(self, tick: int):
-        while self._schedule_pos < len(self._schedule) and self._schedule[self._schedule_pos][0] <= tick:
-            at, name, action = self._schedule[self._schedule_pos]
-            self._schedule_pos += 1
-            peer = self.peers[name]
-            if action == "leave":
-                peer.online = False
-                self.log(at, "schedule", name, "-", "leave")
-            elif action == "join":
-                peer.online = True
-                self.log(at, "schedule", name, "-", "join")
-                self._sync_joiner(name, at)
-            else:
-                raise SimError(f"unknown schedule action {action!r}")
-
-    def _sync_joiner(self, joiner: str, at: int):
+    def _sync_joiner(self, joiner: str):
+        """Each online peer ships its state to the joiner, records and proofs
+        from the start: what was in flight to it at the leave was dropped."""
         for other in self.peers.values():
             if other.name == joiner or not other.online:
                 continue
+            other.sent_records.pop(joiner, None)
+            other.sent_proofs.pop(joiner, None)
             for branch_id in sorted(other.state.branches):
-                payload = build_gossip_payload(other, branch_id)
-                self.emit(GOSSIP, other.name, joiner, payload, f"sync {branch_id.hex[:10]}", at)
+                payload = build_gossip_payload(other, branch_id, joiner)
+                self.emit(GOSSIP, other.name, joiner, payload, f"sync {branch_id.hex[:10]}")
 
     def step(self) -> bool:
         """Deliver the next queued event; False when the queue is empty."""
         if not self.queue:
             return False
         event = heapq.heappop(self.queue)
-        self._apply_schedule_until(event.deliver_tick)
         self.tick = max(self.tick, event.deliver_tick)
+        if event.kind == AVAILABILITY:  # a schedule entry: the peer joins or leaves
+            self.log(event.deliver_tick, "schedule", event.src, "-", event.summary)
+            self.peers[event.src].online = event.summary == "join"
+            if event.summary == "join":
+                self._sync_joiner(event.src)
+                self.flush_gossip(event.src)
+            return True
         dst = self.peers.get(event.dst)
         if dst is None or not dst.online:
             self.log(event.deliver_tick, event.kind, event.src, event.dst, f"dropped-offline {event.summary}")
@@ -157,13 +156,12 @@ class World:
         return True
 
     def run_until(self, target_tick: int):
-        self._apply_schedule_until(self.tick)
         while self.queue and self.queue[0].deliver_tick <= target_tick:
             self.step()
-        self._apply_schedule_until(target_tick)
         self.tick = max(self.tick, target_tick)
 
     def run_until_quiescent(self, max_ticks: int = 10_000):
+        """Deliver events, schedule entries included, until the queue is empty."""
         start = self.tick
         while self.queue:
             if self.queue[0].deliver_tick > start + max_ticks:
@@ -196,7 +194,7 @@ class World:
             for other in self.peers.values():
                 if other.name == peer.name or not other.online:
                     continue
-                payload = build_gossip_payload(peer, branch_id, receiver=other.name)
+                payload = build_gossip_payload(peer, branch_id, other.name)
                 self.emit(GOSSIP, peer.name, other.name,
                           payload, f"branch {branch_id.hex[:10]} head {head}")
 
@@ -204,14 +202,13 @@ class World:
 # -- gossip payloads ---------------------------------------------------------
 
 
-def build_gossip_payload(peer: Peer, branch_id: ContentId, receiver: str | None = None) -> bytes:
+def build_gossip_payload(peer: Peer, branch_id: ContentId, receiver: str) -> bytes:
     """Branch gossip: the header (plus the headers of its live sprout tree),
     wrap records, proofs, and the records needed to replay the bundled heads.
 
-    With no receiver the whole store and every proof ship.  Records and
-    proofs already shipped to a named receiver are skipped; the receiver
-    buffers any header it cannot yet resolve, so thinning the payload never
-    loses state.
+    Records and proofs already shipped to the receiver are skipped; the
+    receiver buffers any header it cannot yet resolve, so thinning the
+    payload never loses state.
     """
     state = peer.state
     tree = {branch_id: None}  # the branch, then each held sprout once, in walk order
@@ -221,19 +218,14 @@ def build_gossip_payload(peer: Peer, branch_id: ContentId, receiver: str | None 
     headers = [state.branches[cid].header_text() for cid in tree]
     wraps = sorted((state.wraps[cid] for cid in tree if cid in state.wraps), key=lambda w: w.sprout)
     proofs = list(state.proofs.get(branch_id, []))
+    # ship the store suffix this receiver has not seen; the receiver
+    # buffers headers it cannot resolve yet, so suffixes always suffice
     order = state.store.ids()
-    if receiver is None:
-        record_ids = list(order)
-    else:
-        # ship the store suffix this receiver has not seen; the receiver
-        # buffers headers it cannot resolve yet, so suffixes always suffice
-        upto = peer.sent_records.setdefault(receiver, 0)
-        record_ids = order[upto:]
-        peer.sent_records[receiver] = len(order)
-        shipped_proofs = peer.sent_proofs.setdefault(receiver, set())
-        proofs = [p for p in proofs if p not in shipped_proofs]
-        shipped_proofs.update(proofs)
-    records = [state.store.get(cid) for cid in record_ids]
+    records = [state.store.get(cid) for cid in order[peer.sent_records.get(receiver, 0):]]
+    peer.sent_records[receiver] = len(order)
+    shipped_proofs = peer.sent_proofs.setdefault(receiver, set())
+    proofs = [p for p in proofs if p not in shipped_proofs]
+    shipped_proofs.update(proofs)
     ousted = sorted([k.hex, v.hex] for k, v in state.ousted.items())
     spent = sorted(cid.hex for cid in state.spent)
     return canonical_encode([b"gossip", branch_id, headers, wraps, proofs, records, ousted, spent])
@@ -373,14 +365,8 @@ def route_request(world: World, src_peer: str, branch_id: ContentId, channel: st
     if branch_id not in sender.state.branches:
         world.log(world.tick, BRANCH_REQUEST, src_peer, "-", f"drop-untracked {branch_id.hex[:10]}")
         return set()
-    contributors = sender.state.contributors(branch_id).all_keys()
-    recipients = set()
-    for key in contributors:
-        host = world.hosts.get(key)
-        if host is None or host == src_peer:
-            continue
-        if world.peers[host].online:
-            recipients.add(host)
+    hosts = {world.hosts.get(key) for key in sender.state.contributors(branch_id).all_keys()}
+    recipients = {host for host in hosts - {None, src_peer} if world.peers[host].online}
     payload = canonical_encode([b"request", branch_id, channel, body])
     for name in sorted(recipients):
         world.emit(BRANCH_REQUEST, src_peer, name, payload, f"{channel} {branch_id.hex[:10]}")

@@ -3,7 +3,8 @@
 Generates a long random mix of twig pushes, review cycles, merges, vetoes,
 and votes over a 3-peer world, checking after every quiescent point that no
 proper branch ever loses a submit from its lignified history prefix.
-`state_digest` fingerprints where any simulated run ended.
+`churn_schedule` draws join/leave windows that take peers offline during a
+run.  `state_digest` fingerprints where any simulated run ended.
 """
 
 import hashlib
@@ -54,10 +55,27 @@ def state_digest(world, assertions=()) -> str:
     return hashlib.sha256(json.dumps(material, sort_keys=True).encode()).hexdigest()
 
 
+def churn_schedule(seed: int, horizon: int = 300) -> tuple:
+    """Leave/join windows for each of the three peers up to tick horizon: a
+    leave 10-60 ticks after the last join, back 3-25 ticks later.  Every
+    leave has its join, so the schedule ends with all peers online."""
+    rng = random.Random(f"churn:{seed}")
+    entries = []
+    for peer in ("p1", "p2", "p3"):
+        tick = 0
+        while True:
+            leave = tick + rng.randint(10, 60)
+            tick = leave + rng.randint(3, 25)
+            if tick > horizon:
+                break
+            entries += [(leave, peer, "leave"), (tick, peer, "join")]
+    return tuple(sorted(entries))
+
+
 class FuzzRun:
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, schedule: tuple = ()):
         self.rng = random.Random(seed)
-        self.world = World(SimConfig(seed, ("fixed", 1)), ["p1", "p2", "p3"])
+        self.world = World(SimConfig(seed, ("fixed", 1), schedule), ["p1", "p2", "p3"])
         self.actors = {}
         for index, (name, peer) in enumerate([("alice", "p1"), ("bob", "p2"), ("carol", "p3")]):
             identity = self.world.peers[peer].identity

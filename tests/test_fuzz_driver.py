@@ -1,5 +1,7 @@
 """The fuzz driver's prefix check walks only the new suffix of each proper
-branch; it must still flag a head that does not descend from the last one."""
+branch; it must still flag a head that does not descend from the last one.
+Short fuzz runs keep their frozen bytes, and runs with churn keep the
+simulator's invariants."""
 
 import json
 import os
@@ -9,7 +11,7 @@ import pytest
 from lakat.branch import Submit, SubmitTrace, get_submit
 
 from conftest import tick
-from fuzz_driver import FUZZ_GOLDEN_EVENTS, FUZZ_GOLDEN_SEEDS, FuzzRun, state_digest
+from fuzz_driver import FUZZ_GOLDEN_EVENTS, FUZZ_GOLDEN_SEEDS, FuzzRun, churn_schedule, state_digest
 
 with open(os.path.join(os.path.dirname(__file__), "golden", "fuzz.json")) as _fh:
     FUZZ_GOLDEN = json.load(_fh)
@@ -68,3 +70,28 @@ def test_short_fuzz_runs_keep_their_frozen_bytes(seed):
     expected = FUZZ_GOLDEN[str(seed)]
     assert run.world.transcript_hash() == expected["transcript"], f"fuzz seed {seed} transcript drifted"
     assert state_digest(run.world) == expected["state"], f"fuzz seed {seed} final state drifted"
+
+
+def _churn_run(seed):
+    return FuzzRun(seed, churn_schedule(seed)).run(1_500)
+
+
+@pytest.mark.parametrize("seed", [*range(1, 7), pytest.param(9, marks=pytest.mark.xfail(strict=True, reason=(
+    "a join syncs toward the joiner only, so the pull request bob opens while every other peer "
+    "is away reaches no one once bob leaves in turn")))])
+def test_churn_keeps_time_order_prefixes_and_convergence(seed):
+    """Peers leave and rejoin throughout the run: the transcript never steps
+    back in time, no proper branch loses a prefix, and once the queue (the
+    schedule included) drains every peer holds the same headers."""
+    run = _churn_run(seed)
+    ticks = [int(line.split(" ", 1)[0]) for line in run.world.transcript]
+    assert ticks == sorted(ticks)
+    assert any(" schedule " in line for line in run.world.transcript)
+    assert run.violations == []
+    headers = [sorted(branch.header_text() for branch in peer.state.branches.values())
+               for peer in run.world.peers.values()]
+    assert headers[0] and headers.count(headers[0]) == len(headers)
+
+
+def test_churn_run_is_deterministic():
+    assert _churn_run(3).world.transcript_hash() == _churn_run(3).world.transcript_hash()

@@ -9,7 +9,7 @@ from lakat.identity import make_contribution_proof
 from lakat.branch import get_submit
 from lakat.ops import create_genesis_branch, create_rooted_branch
 from lakat.review import twig_push
-from lakat.sim import BRANCH_REQUEST, GOSSIP, SimConfig, SimError, World, receive_gossip, route_request
+from lakat.sim import BRANCH_REQUEST, GOSSIP, SimConfig, SimError, SimEvent, World, receive_gossip, route_request
 from lakat.state import build_content_submit
 from lakat.store import MemoryStore
 from conftest import proper_config, twig_config
@@ -106,7 +106,8 @@ def test_same_tick_events_order_by_their_fields_regardless_of_insertion():
     def order(emits):
         world = make_world()
         for tick, kind, src, dst, summary in emits:
-            world.emit(kind, src, dst, summary.encode(), summary, at=tick - 1)
+            world.tick = tick - 1
+            world.emit(kind, src, dst, summary.encode(), summary)
         return [(e.deliver_tick, e.kind, e.src, e.dst, e.summary) for e in drain(world)]
 
     assert order(emits) == order(list(reversed(emits))) == sorted(emits)
@@ -313,7 +314,7 @@ def test_route_excludes_offline_until_rejoin():
     world = make_world(schedule=((2, "p3", "leave"), (10, "p3", "join")))
     p1 = world.peers["p1"]
     branch = create_on(world, "p1")
-    world.run_until_quiescent()
+    world.run_until(1)
     for peer in world.peers.values():
         p1.state.add_proof(make_contribution_proof(
             peer.identity, branch.branch_id, "content", branch.initial_head))
@@ -327,6 +328,65 @@ def test_route_excludes_offline_until_rejoin():
     p3_branch = world.peers["p3"].state.branches.get(branch.branch_id)
     assert p3_branch is not None
     assert p3_branch.header_text() == p1.state.branches[branch.branch_id].header_text()
+
+
+# -- schedule ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("entry", [
+    (3, "p9", "join"),
+    (3, "p2", "pause"),
+    (-1, "p2", "leave"),
+    (1.5, "p2", "leave"),
+    ("3", "p2", "leave"),
+    (True, "p2", "leave"),
+])
+def test_bad_schedule_entry_refused_up_front(entry):
+    with pytest.raises(SimError, match="bad schedule entry") as caught:
+        make_world(schedule=((0, "p1", "leave"), entry))
+    assert repr(entry) in str(caught.value)
+
+
+def tick_of(line):
+    return int(line.split(" ", 1)[0])
+
+
+def test_join_inside_a_run_until_window_syncs_before_later_actions():
+    world = make_world(schedule=((0, "p2", "leave"), (3, "p2", "join")))
+    branch = create_on(world, "p1")
+    world.run_until(6)
+    assert not world.queue
+    assert branch.branch_id in world.peers["p2"].state.branches
+    world.action("p3", "after the join")
+    syncs = [i for i, line in enumerate(world.transcript)
+             if line.startswith("4 gossip_state") and " sync " in line]
+    assert len(syncs) == 2
+    assert max(syncs) < world.transcript.index("6 scenario_action p3 p3 after the join")
+    ticks = [tick_of(line) for line in world.transcript]
+    assert ticks == sorted(ticks)
+
+
+def test_join_applies_before_a_later_message_is_delivered():
+    world = make_world(schedule=((0, "p2", "leave"), (3, "p2", "join")))
+    branch = create_genesis_branch(world.peers["p1"].state, twig_config(), world.peers["p1"].identity, world.now())
+    late = canonical_encode([b"gossip", branch.branch_id, [], [], [], [], [], []])
+    heapq.heappush(world.queue, SimEvent(10, GOSSIP, "p1", "p3", "late", 0, late))
+    world.run_until_quiescent()
+    sync = world.transcript.index(f"4 gossip_state p1 p2 sync {branch.branch_id.hex[:10]}")
+    assert sync < world.transcript.index("10 gossip_state p1 p3 late")
+    ticks = [tick_of(line) for line in world.transcript]
+    assert ticks == sorted(ticks)
+
+
+def test_work_done_offline_ships_after_the_join():
+    world = make_world(schedule=((1, "p2", "leave"), (5, "p2", "join")))
+    world.run_until(2)
+    branch = create_on(world, "p2")  # p2 is away: its flush keeps the marks
+    assert not any(event.kind == GOSSIP for event in world.queue)
+    world.run_until_quiescent()
+    for name in ("p1", "p3"):
+        held = world.peers[name].state.branches.get(branch.branch_id)
+        assert held is not None and held.header_text() == branch.header_text()
 
 
 def test_request_for_unknown_branch_dropped_with_log():
