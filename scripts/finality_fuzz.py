@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Long random multi-peer run checking that lignified history prefixes are
 never rewritten and that identical seeds reproduce identical transcripts.
+It also prints the gossip payload bytes built per transcript event.
 
     python3 scripts/finality_fuzz.py [--events 10000] [--seed 42] [--determinism]
 """
@@ -13,7 +14,21 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 
+import lakat.sim as sim  # noqa: E402
 from fuzz_driver import FuzzRun, state_digest  # noqa: E402
+
+
+def count_payload_bytes() -> list:
+    """Wrap sim.build_gossip_payload; the returned one-item list sums the bytes it builds."""
+    total, build = [0], sim.build_gossip_payload
+
+    def counted(*args):
+        payload = build(*args)
+        total[0] += len(payload)
+        return payload
+
+    sim.build_gossip_payload = counted
+    return total
 
 
 def main():
@@ -24,9 +39,11 @@ def main():
                         help="run twice and compare transcript hashes")
     args = parser.parse_args()
 
+    payload_bytes = count_payload_bytes()
     start = time.perf_counter()
     run = FuzzRun(args.seed).run(args.events)
     elapsed = time.perf_counter() - start
+    gossip_bytes = payload_bytes[0]
     heads = {name: peer.state.branches[run.core_id].stable_head.hex[:12]
              for name, peer in run.world.peers.items()
              if run.core_id in peer.state.branches}
@@ -35,6 +52,7 @@ def main():
     print(f"prefix violations: {len(run.violations)}")
     print(f"peers converged: {converged}  heads: {heads}")
     print(f"lignification decisions: {len(run.world.decision_log)}")
+    print(f"gossip payload bytes per event: {gossip_bytes / len(run.world.transcript):.0f}")
     print(f"transcript hash: {run.world.transcript_hash()}")
     print(f"state digest: {state_digest(run.world)}")
     ok = not run.violations and converged

@@ -1,11 +1,14 @@
 """Deterministic discrete-event peer simulator.
 
 Peers hold independent protocol states and exchange two event kinds:
-gossiped branch state (header plus the content-addressed records backing
-it) and branch requests routed to contributors.  Join/leave schedule
-entries are events in the same queue.  Events order by their own fields,
-never by their payload (see SimEvent), so a run is a pure function of
-config plus scenario.
+gossiped branch state and branch requests routed to contributors.  A gossip
+payload is ``[b"gossip", headers, wraps, proofs, records, ousted, spent]``;
+one `Shipped` entry per receiver keeps what the sender has already sent it
+(store cursor, proofs, spent ids, ousted pairs), so each of those ships once.
+Join/leave schedule entries are events in the same queue; a join drops the
+marks between the joiner and each online peer and syncs both ways.  Events
+order by their own fields, never by their payload (see SimEvent), so a run is
+a pure function of config plus scenario.
 """
 
 from __future__ import annotations
@@ -54,6 +57,16 @@ class SimEvent:
     payload: bytes = field(compare=False)
 
 
+@dataclass
+class Shipped:
+    """What a peer has shipped to one receiver: its store cursor, and the
+    proofs, spent ids and (sprout, reference) ousted pairs sent."""
+    records: int = 0
+    proofs: set = field(default_factory=set)
+    spent: set = field(default_factory=set)
+    ousted: set = field(default_factory=set)
+
+
 class Peer:
     def __init__(self, name: str, identity: KeyIdentity):
         self.name = name
@@ -61,8 +74,7 @@ class Peer:
         self.online = True
         self.state = ProtocolState(MemoryStore())
         self.last_gossiped: dict[ContentId, tuple] = {}
-        self.sent_records: dict[str, int] = {}   # receiver -> store cursor already shipped
-        self.sent_proofs: dict[str, set] = {}    # receiver -> proofs already shipped
+        self.shipped: dict[str, Shipped] = {}  # receiver -> what it has been sent
         self.pending_headers: dict[str, str] = {}  # header key -> header text awaiting records
 
 
@@ -120,16 +132,17 @@ class World:
         heapq.heappush(self.queue, SimEvent(self.tick + self._latency(), kind, src, dst, summary, self.seq, payload))
 
     def _sync_joiner(self, joiner: str):
-        """Each online peer ships its state to the joiner, records and proofs
-        from the start: what was in flight to it at the leave was dropped."""
+        """The joiner and each online peer ship each other every branch they
+        hold, from the start: what was in flight between them was dropped."""
+        peer = self.peers[joiner]
         for other in self.peers.values():
             if other.name == joiner or not other.online:
                 continue
-            other.sent_records.pop(joiner, None)
-            other.sent_proofs.pop(joiner, None)
-            for branch_id in sorted(other.state.branches):
-                payload = build_gossip_payload(other, branch_id, joiner)
-                self.emit(GOSSIP, other.name, joiner, payload, f"sync {branch_id.hex[:10]}")
+            for src, dst in ((other, peer), (peer, other)):
+                src.shipped.pop(dst.name, None)
+                for branch_id in sorted(src.state.branches):
+                    payload = build_gossip_payload(src, branch_id, dst.name)
+                    self.emit(GOSSIP, src.name, dst.name, payload, f"sync {branch_id.hex[:10]}")
 
     def step(self) -> bool:
         """Deliver the next queued event; False when the queue is empty."""
@@ -142,7 +155,6 @@ class World:
             self.peers[event.src].online = event.summary == "join"
             if event.summary == "join":
                 self._sync_joiner(event.src)
-                self.flush_gossip(event.src)
             return True
         dst = self.peers.get(event.dst)
         if dst is None or not dst.online:
@@ -203,11 +215,12 @@ class World:
 
 
 def build_gossip_payload(peer: Peer, branch_id: ContentId, receiver: str) -> bytes:
-    """Branch gossip: the header (plus the headers of its live sprout tree),
-    wrap records, proofs, and the records needed to replay the bundled heads.
+    """Branch gossip, ``[b"gossip", headers, wraps, proofs, records, ousted,
+    spent]``: the header (plus the headers of its live sprout tree), wrap
+    records, and what the receiver has not been sent yet: proofs, the store
+    suffix, and the spent ids and ousted pairs, as ContentId values.
 
-    Records and proofs already shipped to the receiver are skipped; the
-    receiver buffers any header it cannot yet resolve, so thinning the
+    The receiver buffers any header it cannot yet resolve, so thinning the
     payload never loses state.
     """
     state = peer.state
@@ -217,29 +230,29 @@ def build_gossip_payload(peer: Peer, branch_id: ContentId, receiver: str) -> byt
             tree.setdefault(entry.sprout)
     headers = [state.branches[cid].header_text() for cid in tree]
     wraps = sorted((state.wraps[cid] for cid in tree if cid in state.wraps), key=lambda w: w.sprout)
-    proofs = list(state.proofs.get(branch_id, []))
-    # ship the store suffix this receiver has not seen; the receiver
-    # buffers headers it cannot resolve yet, so suffixes always suffice
+    sent = peer.shipped.setdefault(receiver, Shipped())
     order = state.store.ids()
-    records = [state.store.get(cid) for cid in order[peer.sent_records.get(receiver, 0):]]
-    peer.sent_records[receiver] = len(order)
-    shipped_proofs = peer.sent_proofs.setdefault(receiver, set())
-    proofs = [p for p in proofs if p not in shipped_proofs]
-    shipped_proofs.update(proofs)
-    ousted = sorted([k.hex, v.hex] for k, v in state.ousted.items())
-    spent = sorted(cid.hex for cid in state.spent)
-    return canonical_encode([b"gossip", branch_id, headers, wraps, proofs, records, ousted, spent])
+    records = [state.store.get(cid) for cid in order[sent.records:]]
+    sent.records = len(order)
+    proofs = [p for p in state.proofs.get(branch_id, ()) if p not in sent.proofs]
+    sent.proofs.update(proofs)
+    ousted = sorted(state.ousted.items() - sent.ousted)
+    sent.ousted.update(ousted)
+    # spent only grows, so what was sent is a subset and equal sizes mean nothing new
+    spent = sorted(state.spent - sent.spent) if len(sent.spent) < len(state.spent) else []
+    sent.spent.update(spent)
+    return canonical_encode([b"gossip", headers, wraps, proofs, records, ousted, spent])
 
 
 def receive_gossip(world: World, peer: Peer, payload: bytes):
     """Apply a gossip payload; one that is not the gossip list raises SimError before any of it applies."""
     state = peer.state
     try:
-        tag, _, headers, wraps, proofs, records, ousted, spent = canonical_decode(payload)
-        ousted = [(ContentId.from_hex(sprout), ContentId.from_hex(reference)) for sprout, reference in ousted]
-        spent = [ContentId.from_hex(cid_hex) for cid_hex in spent]
-        wellformed = (tag == b"gossip" and all(type(x) is list for x in (headers, wraps, proofs, records))
-                      and all(type(x) is str for x in headers) and all(type(x) is bytes for x in records))
+        tag, headers, wraps, proofs, records, ousted, spent = canonical_decode(payload)
+        wellformed = (tag == b"gossip" and all(type(x) is list for x in (headers, wraps, proofs, records, ousted, spent))
+                      and all(type(x) is str for x in headers) and all(type(x) is bytes for x in records)
+                      and all(type(pair) is list and len(pair) == 2 for pair in ousted)
+                      and all(type(cid) is ContentId for cid in spent + [cid for pair in ousted for cid in pair]))
     except (CodecError, TypeError, ValueError) as exc:
         raise SimError(f"malformed gossip payload: {exc}") from exc
     if not wellformed:

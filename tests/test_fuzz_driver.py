@@ -76,9 +76,7 @@ def _churn_run(seed):
     return FuzzRun(seed, churn_schedule(seed)).run(1_500)
 
 
-@pytest.mark.parametrize("seed", [*range(1, 7), pytest.param(9, marks=pytest.mark.xfail(strict=True, reason=(
-    "a join syncs toward the joiner only, so the pull request bob opens while every other peer "
-    "is away reaches no one once bob leaves in turn")))])
+@pytest.mark.parametrize("seed", [*range(1, 7), 9])
 def test_churn_keeps_time_order_prefixes_and_convergence(seed):
     """Peers leave and rejoin throughout the run: the transcript never steps
     back in time, no proper branch loses a prefix, and once the queue (the
@@ -91,6 +89,8 @@ def test_churn_keeps_time_order_prefixes_and_convergence(seed):
     headers = [sorted(branch.header_text() for branch in peer.state.branches.values())
                for peer in run.world.peers.values()]
     assert headers[0] and headers.count(headers[0]) == len(headers)
+    spent = [peer.state.spent for peer in run.world.peers.values()]
+    assert spent.count(spent[0]) == len(spent)
 
 
 def test_churn_run_is_deterministic():

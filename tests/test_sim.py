@@ -1,18 +1,23 @@
 import heapq
 import json
+import os
+from collections import Counter
 
 import pytest
 
+import lakat.sim as sim
 from lakat.bucket import create_atomic_bucket
-from lakat.codec import NULL_ID, canonical_encode, content_id
+from lakat.codec import NULL_ID, canonical_decode, canonical_encode, content_id
 from lakat.identity import make_contribution_proof
 from lakat.branch import get_submit
 from lakat.ops import create_genesis_branch, create_rooted_branch
 from lakat.review import twig_push
+from lakat.scenario import Runner, parse_scenario
 from lakat.sim import BRANCH_REQUEST, GOSSIP, SimConfig, SimError, SimEvent, World, receive_gossip, route_request
 from lakat.state import build_content_submit
 from lakat.store import MemoryStore
 from conftest import proper_config, twig_config
+from fuzz_driver import FuzzRun
 
 
 def make_world(peers=("p1", "p2", "p3"), seed=0, latency=("fixed", 1), schedule=()):
@@ -38,6 +43,11 @@ def push_on(world, peer_name, branch_id, identity, payload):
     peer.state.add_proof(make_contribution_proof(identity, branch_id, "content", cid))
     world.flush_gossip(peer_name)
     return cid
+
+
+def gossip_payload(headers=(), records=(), ousted=(), spent=()):
+    """A hand-built gossip payload: tag, headers, wraps, proofs, records, ousted, spent."""
+    return canonical_encode([b"gossip", headers, [], [], records, ousted, spent])
 
 
 # -- time -----------------------------------------------------------------------
@@ -256,18 +266,19 @@ def test_header_that_can_never_resolve_is_dropped():
             data["branch_id"] = branch_id.hex
             data["stable_head"] = head.hex
             header = json.dumps(data, sort_keys=True)
-            receive_gossip(world, p2, canonical_encode([b"gossip", branch_id, [header], [], [], records, [], []]))
+            receive_gossip(world, p2, gossip_payload([header], records))
             assert p2.state.branches[branch.branch_id].stable_head == held
             assert unknown not in p2.state.branches
             assert branch_id.hex + head.hex not in p2.pending_headers
     for header in ("{}", '{"branch_id": 5}', "not json"):
-        receive_gossip(world, p2, canonical_encode([b"gossip", branch.branch_id, [header], [], [], [], [], []]))
+        receive_gossip(world, p2, gossip_payload([header]))
         assert p2.state.branches[branch.branch_id].stable_head == held and not p2.pending_headers
-    for fields in ([b"gossip", branch.branch_id], [b"gossip", branch.branch_id, [5], [], [], [], [], []],
-                   [b"gossip", branch.branch_id, [], [], [], ["record"], [], []],
-                   [b"gossip", branch.branch_id, [], [], [], [], [], ["zz"]], b"gossip"):
+    for payload in (canonical_encode([b"gossip", []]), gossip_payload([5]), gossip_payload(records=["record"]),
+                    gossip_payload(spent=["zz"]), canonical_encode(b"gossip"),
+                    gossip_payload(spent=[branch.branch_id.hex]), gossip_payload(ousted=[[branch.branch_id]]),
+                    gossip_payload(spent=branch.branch_id)):
         with pytest.raises(SimError):
-            receive_gossip(world, p2, canonical_encode(fields))
+            receive_gossip(world, p2, payload)
     with pytest.raises(SimError):
         receive_gossip(world, p2, b"\xff")
     assert len(p2.state.contributors(branch.branch_id).all_keys()) == 1
@@ -282,11 +293,11 @@ def test_header_waits_for_its_records_then_is_adopted():
     head = push_on(world, "p1", branch.branch_id, p1.identity, b"late")
     header = p1.state.branches[branch.branch_id].header_text()
     key = branch.branch_id.hex + head.hex
-    receive_gossip(world, p2, canonical_encode([b"gossip", branch.branch_id, [header], [], [], [], [], []]))
+    receive_gossip(world, p2, gossip_payload([header]))
     assert p2.pending_headers == {key: header}
     assert p2.state.branches[branch.branch_id].stable_head != head
     missing = [p1.state.store.get(cid) for cid in p1.state.store.ids() if cid not in held]
-    receive_gossip(world, p2, canonical_encode([b"gossip", branch.branch_id, [], [], [], missing, [], []]))
+    receive_gossip(world, p2, gossip_payload(records=missing))
     assert not p2.pending_headers
     assert p2.state.branches[branch.branch_id].stable_head == head
 
@@ -369,7 +380,7 @@ def test_join_inside_a_run_until_window_syncs_before_later_actions():
 def test_join_applies_before_a_later_message_is_delivered():
     world = make_world(schedule=((0, "p2", "leave"), (3, "p2", "join")))
     branch = create_genesis_branch(world.peers["p1"].state, twig_config(), world.peers["p1"].identity, world.now())
-    late = canonical_encode([b"gossip", branch.branch_id, [], [], [], [], [], []])
+    late = gossip_payload()
     heapq.heappush(world.queue, SimEvent(10, GOSSIP, "p1", "p3", "late", 0, late))
     world.run_until_quiescent()
     sync = world.transcript.index(f"4 gossip_state p1 p2 sync {branch.branch_id.hex[:10]}")
@@ -410,3 +421,60 @@ def test_capacity_rejection_logged_not_crashing():
     world.run_until_quiescent()
     assert world.peers["p2"].state.requests_for(branch.branch_id).size("submit_requests") == 1
     assert any("rejected submit_requests" in line for line in world.transcript)
+
+
+# -- gossip deltas ------------------------------------------------------------------
+
+
+def tap_gossip(monkeypatch):
+    """Record (sender, receiver, ousted pairs, spent ids) of every gossip payload built."""
+    shipped, build = [], sim.build_gossip_payload
+
+    def tapped(peer, branch_id, receiver):
+        payload = build(peer, branch_id, receiver)
+        ousted, spent = canonical_decode(payload)[5:]
+        shipped.append((peer.name, receiver, [tuple(pair) for pair in ousted], spent))
+        return payload
+
+    monkeypatch.setattr(sim, "build_gossip_payload", tapped)
+    return shipped
+
+
+def test_each_spent_id_ships_once_per_ordered_pair(monkeypatch):
+    shipped = tap_gossip(monkeypatch)
+    run = FuzzRun(42).run(3_000)
+    spent = [peer.state.spent for peer in run.world.peers.values()]
+    assert spent[0] and spent.count(spent[0]) == 3
+    sends = Counter((src, dst, cid) for src, dst, _, ids in shipped for cid in ids)
+    assert set(sends.values()) == {1}
+    assert {cid for _, _, cid in sends} == spent[0]
+    assert len(sends) == 6 * len(spent[0])
+
+
+def test_fig5b_ships_its_ousted_pair_once_per_ordered_pair(monkeypatch):
+    shipped = tap_gossip(monkeypatch)
+    with open(os.path.join(os.path.dirname(__file__), "..", "scenarios", "fig5b.json")) as fh:
+        runner = Runner(parse_scenario(fh.read()))
+    runner.run()
+    ousted = [peer.state.ousted for peer in runner.world.peers.values()]
+    assert len(ousted[0]) == 1 and ousted.count(ousted[0]) == 3
+    sends = Counter((src, dst, pair) for src, dst, pairs, _ in shipped for pair in pairs)
+    assert sends == Counter((src, dst, pair) for src in runner.world.peers for dst in runner.world.peers
+                            if src != dst for pair in ousted[0].items())
+
+
+def test_a_join_ships_the_joiner_every_spent_id_again(monkeypatch):
+    shipped = tap_gossip(monkeypatch)
+    syncs, sync = [], World._sync_joiner
+
+    def tapped_sync(world, joiner):
+        start = len(shipped)
+        held = {name: set(peer.state.spent) for name, peer in world.peers.items() if peer.online}
+        sync(world, joiner)
+        syncs.append((joiner, held, shipped[start:]))
+
+    monkeypatch.setattr(World, "_sync_joiner", tapped_sync)
+    FuzzRun(42, ((200, "p2", "leave"), (210, "p2", "join"))).run(1_000)
+    [(joiner, held, sent)] = syncs
+    for src in ("p1", "p3"):
+        assert held[src] and {cid for s, dst, _, ids in sent if (s, dst) == (src, joiner) for cid in ids} == held[src]
