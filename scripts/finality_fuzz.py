@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Long random multi-peer run checking that lignified history prefixes are
 never rewritten and that identical seeds reproduce identical transcripts.
-It also prints the gossip payload bytes built per transcript event.
+It also prints the gossip payload bytes built per transcript event, and
+the transcript events per CPU second in each quarter of the run.
 
     python3 scripts/finality_fuzz.py [--events 10000] [--seed 42] [--determinism]
 """
@@ -31,6 +32,23 @@ def count_payload_bytes() -> list:
     return total
 
 
+def run_by_quarters(seed: int, events: int) -> tuple:
+    """FuzzRun(seed).run(events), stepped to each quarter of the events; also
+    returns the transcript events per CPU second of each quarter (the last
+    one includes the final drain)."""
+    run, rates = FuzzRun(seed), []
+    run.setup()
+    for quarter in range(1, 5):
+        begin, cpu = len(run.world.transcript), time.process_time()
+        while len(run.world.transcript) < events * quarter // 4:
+            run.step()
+        if quarter == 4:
+            run.world.run_until_quiescent()
+            run._check_prefixes()
+        rates.append((len(run.world.transcript) - begin) / max(time.process_time() - cpu, 1e-9))
+    return run, rates
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--events", type=int, default=10_000)
@@ -41,7 +59,7 @@ def main():
 
     payload_bytes = count_payload_bytes()
     start = time.perf_counter()
-    run = FuzzRun(args.seed).run(args.events)
+    run, rates = run_by_quarters(args.seed, args.events)
     elapsed = time.perf_counter() - start
     gossip_bytes = payload_bytes[0]
     heads = {name: peer.state.branches[run.core_id].stable_head.hex[:12]
@@ -53,6 +71,7 @@ def main():
     print(f"peers converged: {converged}  heads: {heads}")
     print(f"lignification decisions: {len(run.world.decision_log)}")
     print(f"gossip payload bytes per event: {gossip_bytes / len(run.world.transcript):.0f}")
+    print("events per CPU second by quarter: " + " ".join(f"{rate:.0f}" for rate in rates))
     print(f"transcript hash: {run.world.transcript_hash()}")
     print(f"state digest: {state_digest(run.world)}")
     ok = not run.violations and converged

@@ -8,6 +8,7 @@ reachable through belt-tip pointers in the submit trace, never by rebasing.
 from __future__ import annotations
 
 import json
+from collections import ChainMap
 from collections.abc import Iterable, Set
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -589,36 +590,64 @@ def _attestations(store: Store, node_id: ContentId) -> frozenset:
     return ids
 
 
+def _introduce(records: set, submits: Iterable[tuple[ContentId, Submit]]):
+    """Add each submit id and the records it introduces: buckets, commitments, review items, containers."""
+    for cid, submit in submits:
+        trace = submit.submit_trace
+        records.add(cid)
+        records.update(trace.new_buckets)
+        records.update(trace.reviews_trace)
+        records.update(pr.review_container for pr in trace.pull_requests)
+
+
 class Evidence(Set):
     """The ids a contribution proof may cite at one head of a branch: in
     records, the submits root..head, the belt closures their merges reach
     (walked: id -> submit) and the records all of these introduce.  Storage
-    and token attestations stay apart: a later trie or token list can drop one."""
+    and token attestations stay apart: a later trie or token list can drop one.
+    Most proofs cite root..head, so the belt closures (tips: not yet walked)
+    and storage attestations are read only when a lookup misses the rest."""
 
-    __slots__ = ("head", "records", "walked", "attestations", "tokens")
+    __slots__ = ("head", "store", "records", "walked", "tips", "attestations", "tokens")
 
-    def __init__(self, head, records, walked, attestations, tokens):
-        self.head, self.records, self.walked = head, records, walked
-        self.attestations, self.tokens = attestations, tokens
+    def __init__(self, head, store, records, walked, tips, tokens):
+        self.head, self.store, self.records, self.walked, self.tips = head, store, records, walked, tips
+        self.attestations, self.tokens = None, tokens
+
+    def _complete(self):
+        store = self.store
+        if self.tips:  # walked takes a walk only once it is whole: a missing record leaves it as it was
+            fresh = {}
+            walk = _walk_closure(store, self.tips, ChainMap(fresh, self.walked))
+            _introduce(self.records, ((cid, fresh[cid]) for cid in walk))
+            self.walked.update(fresh)
+            self.tips = []
+        if self.attestations is None:
+            self.attestations = _attestations(store, get_submit(store, self.head).trie_root) if self.head != NULL_ID else _NO_IDS
 
     def __contains__(self, cid) -> bool:
-        return cid in self.records or cid in self.attestations or cid in self.tokens
+        if cid in self.records or cid in self.tokens:
+            return True
+        self._complete()
+        return cid in self.records or cid in self.attestations
 
     def __iter__(self):
+        self._complete()
         return iter(self.records | self.attestations | self.tokens)
 
     def __len__(self) -> int:
+        self._complete()
         return len(self.records | self.attestations | self.tokens)
 
 
 def collect_evidence(branch: Branch, store: Store, held: Evidence | None = None) -> Evidence:
     """Every id a contribution proof may legitimately cite: the submits from
     root to head, the belt closures reachable from merge submits in that
-    range, the records those submits introduce (buckets, commitments, review
-    items, containers), plus storage and token attestations.  held, an
-    earlier result for the branch, is extended in place when the head
-    descends from its head without passing the initial head; any other move
-    rebuilds."""
+    range, the records those submits introduce, plus storage and token
+    attestations.  Only root..head is read here; the rest waits for a lookup
+    that misses it (Evidence).  held, an earlier result for the branch, is
+    extended in place when the head descends from its head without passing
+    the initial head; any other move rebuilds."""
     head = branch.stable_head
     suffix = None
     if held is not None and head != NULL_ID and held.head != NULL_ID:
@@ -627,19 +656,12 @@ def collect_evidence(branch: Branch, store: Store, held: Evidence | None = None)
                        or any(cid == branch.initial_head for cid, _ in suffix)):
             suffix = None
     if suffix is None:
-        records, walked, suffix = set(), {}, _history(branch, store)
+        records, walked, tips, suffix = set(), {}, [], _history(branch, store)
     else:
-        records, walked = held.records, held.walked
-    tips = [s.submit_trace.belt_tip for _, s in suffix if s.submit_trace.belt_tip is not None]
-    for cid, submit in suffix + [(cid, walked[cid]) for cid in _walk_closure(store, tips, walked)]:
-        trace = submit.submit_trace
-        records.add(cid)
-        records.update(trace.new_buckets)
-        records.update(trace.reviews_trace)
-        records.update(pr.review_container for pr in trace.pull_requests)
-    attestations = _attestations(store, get_submit(store, head).trie_root) if head != NULL_ID else _NO_IDS
-    tokens = frozenset(content_id(token) for token in branch.branch_token)
-    return Evidence(head, records, walked, attestations, tokens)
+        records, walked, tips = held.records, held.walked, list(held.tips)
+    _introduce(records, suffix)
+    tips += (s.submit_trace.belt_tip for _, s in suffix if s.submit_trace.belt_tip is not None)
+    return Evidence(head, store, records, walked, tips, frozenset(content_id(t) for t in branch.branch_token))
 
 
 def derive_contributors(

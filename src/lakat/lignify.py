@@ -206,7 +206,7 @@ def register_veto(state: ProtocolState, core_id: ContentId, veto: Veto, now: Log
         return Verdict.fail("unknown-branch")
     if not verify_signature(veto.contributor, veto.message(), veto.signature):
         return Verdict.fail("bad-signature")
-    if not state.contributors(core_id).has(veto.contributor):
+    if not state.is_contributor(core_id, veto.contributor):
         return Verdict.fail("not-a-contributor")
     owner = selection_owner(state, core, veto.sprout)
     if owner is None:
@@ -230,7 +230,7 @@ def cast_vote(state: ProtocolState, core_id: ContentId, vote: Vote, now: Logical
         return Verdict.fail("unknown-branch")
     if not verify_signature(vote.voter, vote.message(), vote.signature):
         return Verdict.fail("bad-signature")
-    if not state.contributors(core_id).has(vote.voter, "content"):
+    if not state.is_contributor(core_id, vote.voter, "content"):
         return Verdict.fail("not-a-content-contributor")
     owner = selection_owner(state, core, vote.sprout)
     if owner is None:

@@ -204,7 +204,7 @@ def execute_merge(
         raise InvalidMerge(f"belt failed validation: {belt_verdict.codes()}")
     if not core.config.accept_conflicts and plan.conflicts:
         raise InvalidMerge("core accepts only conflictless submits")
-    if not state.contributors(plan.core).has(author.public_key, "content"):
+    if not state.is_contributor(plan.core, author.public_key, "content"):
         raise InvalidMerge("merge author must be a content contributor of the core")
     if core.branch_type == PROPER:
         if plan.pr is None:

@@ -77,8 +77,7 @@ def twig_push(state: ProtocolState, twig_id: ContentId, submit: Submit, author: 
         return Verdict.fail("unknown-branch"), None
     if branch.branch_type != TWIG:
         return Verdict.fail("not-a-twig", branch.branch_type), None
-    contributors = state.contributors(twig_id)
-    allowed = contributors.has(author, "content") or contributors.has(author, "review")
+    allowed = state.is_contributor(twig_id, author, "content") or state.is_contributor(twig_id, author, "review")
     if not allowed and _is_commitment_carrier(state, submit, author):
         allowed = True
     if not allowed:
@@ -137,7 +136,7 @@ def create_pull_request(
     """Open the review process: a submit on the issuing branch carrying a
     fresh review container and the pull-request trace."""
     issuing = state.branches[issuing_id]
-    if not state.contributors(issuing_id).has(author.public_key, "content"):
+    if not state.is_contributor(issuing_id, author.public_key, "content"):
         raise AuthorizationError("pull request author must be a content contributor of the issuing branch")
     store = state.store
     creator_root = store.put(author.public_key)
@@ -200,11 +199,10 @@ def commit_review(
     of the requesting branch."""
     if not check_maturity(state, pr):
         return Verdict.fail("immature-pull-request")
-    target_contributors = state.contributors(pr.target_branch)
-    entry = target_contributors.content.get(committer.public_key)
+    entry = state.content_entry(pr.target_branch, committer.public_key)
     if entry is None:
         return Verdict.fail("not-target-content-contributor")
-    if state.contributors(pr.requesting_branch).has(committer.public_key):
+    if state.is_contributor(pr.requesting_branch, committer.public_key):
         return Verdict.fail("conflict-of-interest")
     if not entry:
         # union-derived contributor without a direct proof cannot re-attest

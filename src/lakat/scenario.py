@@ -407,7 +407,7 @@ class Runner:
         if that == "contributor":
             state, branch = self._home(step["branch"])
             identity, _ = self.actors[step["actor"]]
-            present = state.contributors(branch.branch_id).has(identity.public_key, step.get("kind"))
+            present = state.is_contributor(branch.branch_id, identity.public_key, step.get("kind"))
             return present == step.get("present", True), f"present={present}"
         if that == "bucket_count":
             state, branch = self._home(step["branch"])

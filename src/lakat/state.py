@@ -67,6 +67,7 @@ class ProtocolState:
         self._direct: dict[ContentId, tuple] = {}  # branch -> (key, direct set, evidence)
         self._requesters: dict[ContentId, set] = {}  # target -> belts asking it, see _asking
         self._indexed: dict[ContentId, ContentId] = {}  # belt -> head its requests were indexed at
+        self._moved: set[ContentId] = set()  # branches touched since _asking last ran
 
     # -- registration ------------------------------------------------------
 
@@ -77,8 +78,10 @@ class ProtocolState:
 
     def touch(self, *branch_ids: ContentId):
         """Mark branches whose headers may have changed; the next gossip flush
-        compares their fingerprints.  Every mutation of a Branch calls this."""
+        compares their fingerprints, and _asking re-indexes their pull
+        requests.  Every mutation of a Branch calls this."""
         self.touched.update(branch_ids)
+        self._moved.update(branch_ids)
 
     def requests_for(self, branch_id: ContentId) -> BranchRequests:
         return self.requests.setdefault(branch_id, BranchRequests())
@@ -90,7 +93,36 @@ class ProtocolState:
 
     def contributors(self, branch_id: ContentId) -> ContributorSet:
         """Operational contributor set: the ordered union of the direct sets
-        of every branch reachable from this one.
+        of every branch reachable from this one, with each wrap creator as a
+        content key (_reach).  The result is a fresh set the caller may
+        change; a caller that asks about one key uses is_contributor."""
+        result = ContributorSet()
+        for direct, creator in self._reach(branch_id):
+            result.update(direct)
+            if creator is not None:
+                result.add("content", creator)
+        return result
+
+    def is_contributor(self, branch_id: ContentId, key: bytes, kind: str | None = None) -> bool:
+        """contributors(branch_id).has(key, kind), walking only as far as the
+        first reachable branch that names the key."""
+        wraps = kind in (None, "content")
+        return any(direct.has(key, kind) or (wraps and creator == key) for direct, creator in self._reach(branch_id))
+
+    def content_entry(self, branch_id: ContentId, key: bytes) -> list | None:
+        """contributors(branch_id).content.get(key) cut after its first proof,
+        walking only as far as that proof (None: no content contributor)."""
+        named = False
+        for direct, creator in self._reach(branch_id):
+            proofs = direct.content.get(key)
+            if proofs:
+                return proofs[:1]
+            named = named or proofs is not None or creator == key
+        return [] if named else None
+
+    def _reach(self, branch_id: ContentId):
+        """Yield (direct set, wrap creator or None) for every branch reachable
+        from this one, in the order contributors() unites them.
 
         A branch reaches the requesting branch of its sprout wrap, and every
         belt that a submit in its inclusion closure merged, when the belt's
@@ -98,16 +130,17 @@ class ProtocolState:
         walk is depth-first pre-order and visits each branch once: the wrap's
         requesting branch first, then the belts in closure order.  A direct
         set is the branch's verified proofs whose evidence lies in root..head
-        (derive_contributors), plus the wrap creator as a content key.
+        (derive_contributors); it is derived when the walk reaches it, so a
+        caller that stops early derives no more.
 
         Derived state follows what changed: the direct set per branch, keyed
         on (stable head, token list, accepted proof kinds, proof count); the
-        evidence per branch, extended while its head descends; the belts
-        asking each target; and, in the store, the merge index per head and
-        the attestation ids per trie node.  The result is a fresh set the
-        caller may change."""
+        evidence per branch, extended while its head descends, its belt
+        closures walked only when a proof misses root..head; the belts asking
+        each target, re-indexed for the branches touched since; and, in the
+        store, the merge index per head and the attestation ids per trie
+        node."""
         branches, asking = self.branches, None
-        result = ContributorSet()
         visited = set()
         stack = [branch_id]
         while stack:
@@ -116,12 +149,9 @@ class ProtocolState:
             if branch is None or current in visited:
                 continue
             visited.add(current)
-            result.update(self._direct_set(branch))
-            reached = []
             wrap = self.wraps.get(current)
-            if wrap is not None:
-                result.add("content", wrap.creator)
-                reached.append(wrap.requesting_branch)
+            yield self._direct_set(branch), None if wrap is None else wrap.creator
+            reached = [] if wrap is None else [wrap.requesting_branch]
             belts = _merge_index(self.store, branch.stable_head)[0]
             if belts:
                 asking = self._asking() if asking is None else asking
@@ -129,7 +159,6 @@ class ProtocolState:
                 if requesting:
                     reached.extend(b for b in belts if b in requesting)
             stack.extend(reversed(reached))
-        return result
 
     def _direct_set(self, branch: Branch) -> ContributorSet:
         branch_id = branch.branch_id
@@ -145,16 +174,18 @@ class ProtocolState:
 
     def _asking(self) -> dict[ContentId, set]:
         """target -> belts whose current head's closure carries a pull request
-        from the belt to the target; a belt whose head moved is re-indexed
-        from the difference of the two heads' pull-request pairs."""
-        index, indexed, store = self._requesters, self._indexed, self.store
-        for belt_id, branch in self.branches.items():
-            old, new = indexed.get(belt_id, NULL_ID), branch.stable_head
-            if old == new:
-                continue
+        from the belt to the target; a belt touched since the last call whose
+        head moved is re-indexed from the difference of the two heads'
+        pull-request pairs."""
+        index, indexed, store, moved = self._requesters, self._indexed, self.store, self._moved
+        for belt_id in list(moved):
+            branch = self.branches.get(belt_id)
+            old = indexed.get(belt_id, NULL_ID)
+            new = old if branch is None else branch.stable_head
             old_pairs, new_pairs = _merge_index(store, old)[1], _merge_index(store, new)[1]
             indexed[belt_id] = new
-            if old_pairs is new_pairs:  # a submit without pull requests shares its parent's
+            moved.discard(belt_id)  # not before: a head with missing records stays to re-index
+            if old_pairs is new_pairs:  # the same head, or a submit without pull requests
                 continue
             for target, requesting in old_pairs - new_pairs:
                 if requesting == belt_id:

@@ -332,6 +332,76 @@ def test_attestations_of_a_late_info_record_equal_a_cold_copy(state, alice, bob)
     assert set(after) == set(collect_evidence(branch, _cold_copy(late)))
 
 
+def test_a_fresh_twig_walks_its_root_belt_closure_only_on_a_miss(monkeypatch, state, alice, bob, carol):
+    """A twig rooted at a merge head answers its creator's proof on its own
+    push from root..head, reading no submit below its root.  A proof citing a
+    belt submit, which only the root's belt tip reaches, and one citing a
+    storage attestation still count.  Iterating the evidence, before or
+    after the miss that walks the belt closure, gives a cold full build, also
+    when the store lacks the info record that holds the attestation."""
+    from lakat.bucket import InfoDelta, make_storage_attestation
+    from lakat.codec import object_id
+    from lakat.ops import execute_merge, plan_merge
+    from lakat import trie as trie_mod
+
+    core = create_genesis_branch(state, twig_config(stale_after_merge=False), alice, tick(0))
+    _push_payload(state, core, alice, b"core", 1)
+    belt = create_rooted_branch(state, core.stable_head, core.branch_id, bob, tick(2), twig_config())
+    belt_work = _push_payload(state, belt, bob, b"belt", 3)
+    bucket_cid = get_submit(state.store, belt_work).submit_trace.new_buckets[0]
+    attestation = make_storage_attestation(carol, bucket_cid, tick(4))
+    attach = build_content_submit(state, belt, bob, "attach", tick(4),
+                                  attachments=[(bucket_cid, InfoDelta(storage_proofs=(attestation,)))])
+    assert twig_push(state, belt.branch_id, attach, bob.public_key)[0].ok
+    execute_merge(state, plan_merge(state, core.branch_id, belt.branch_id), alice, tick(5),
+                  approvals={alice.public_key})
+    root = core.stable_head
+    state.contributors(core.branch_id)  # the merge index of the root is held, as after any merge
+    below = set(included_submits(state.store, root)) - {root}
+    assert belt_work in below
+    twig = create_rooted_branch(state, root, core.branch_id, carol, tick(6), twig_config())
+
+    read, get_object = [], state.store.get_object
+    monkeypatch.setattr(state.store, "get_object", lambda cid: read.append(cid) or get_object(cid))
+    _push_payload(state, twig, carol, b"twig", 7)
+    monkeypatch.undo()
+    assert read and not below & set(read)
+
+    assert not state.is_contributor(twig.branch_id, bob.public_key)
+    state.add_proof(make_contribution_proof(bob, twig.branch_id, "content", belt_work))
+    assert state.is_contributor(twig.branch_id, bob.public_key, "content")
+    state.add_proof(make_contribution_proof(alice, twig.branch_id, "storage", object_id(attestation)))
+    assert state.is_contributor(twig.branch_id, alice.public_key, "storage")
+
+    info = trie_mod.get(trie_mod.Trie(get_submit(state.store, root).trie_root, state.store), bucket_cid)
+    late = MemoryStore()
+    for cid in state.store.ids():
+        if cid != object_id(info):
+            late.put(state.store.get(cid))
+    for store, attested in ((state.store, True), (late, False)):
+        cold = set(collect_evidence(twig, _cold_copy(store)))
+        assert belt_work in cold and (object_id(attestation) in cold) == attested
+        unwalked = collect_evidence(twig, store)
+        assert unwalked.tips and unwalked.attestations is None
+        assert set(unwalked) == cold
+        missed = collect_evidence(twig, store)
+        assert missed.tips and belt_work in missed and not missed.tips
+        assert set(missed) == cold
+
+    # a submit missing below the root raises only when a miss walks to it,
+    # and the walk, whole once the record arrives, misses nothing
+    gap = MemoryStore()
+    for cid in state.store.ids():
+        if cid != belt_work:
+            gap.put(state.store.get(cid))
+    evidence = collect_evidence(twig, gap)
+    assert twig.initial_head in evidence
+    with pytest.raises(MissingRecord):
+        content_id(b"cited by no one") in evidence
+    gap.put(state.store.get(belt_work))
+    assert belt_work in evidence and set(evidence) == set(collect_evidence(twig, _cold_copy(gap)))
+
+
 def test_merge_union_with_and_without_pr(alice, bob):
     core = ContributorSet()
     core.add("content", alice.public_key)

@@ -1,7 +1,9 @@
 """Differential test of ProtocolState.contributors against a from-scratch
 reference: the recursive union that recomputes every direct set, evidence
 closure and pull-request scan on each call.  Both must agree on the keys of
-each kind, their order, and every proof list, after every action."""
+each kind, their order, and every proof list, after every action; and the
+queries that stop early (is_contributor, content_entry) must answer what the
+reference union answers."""
 
 from lakat.branch import ContributorSet, collect_evidence, get_submit, submit_history, submit_id
 from lakat.bucket import InfoDelta, make_storage_attestation
@@ -15,7 +17,7 @@ from lakat.store import MemoryStore
 from lakat import trie as trie_mod
 
 from conftest import proper_config, tick, twig_config
-from fuzz_driver import FuzzRun
+from fuzz_driver import FuzzRun, churn_schedule
 
 KINDS = ("content", "review", "token", "storage")
 
@@ -102,28 +104,50 @@ def _ordered(contributors: ContributorSet) -> tuple:
     return tuple(list(contributors.kind(kind).items()) for kind in KINDS)
 
 
+STRANGER = KeyIdentity.from_seed(b"stranger").public_key
+
+
 def assert_matches_reference(state: ProtocolState) -> int:
     for branch_id in list(state.branches):
+        reference = reference_contributors(state, branch_id)
         got = _ordered(state.contributors(branch_id))
-        want = _ordered(reference_contributors(state, branch_id))
-        assert got == want, f"contributors of {branch_id.hex[:10]} diverge from the reference"
+        assert got == _ordered(reference), f"contributors of {branch_id.hex[:10]} diverge from the reference"
+        for key in reference.all_keys() | {STRANGER}:
+            for kind in (None,) + KINDS:
+                assert state.is_contributor(branch_id, key, kind) == reference.has(key, kind), (branch_id, kind)
+            # what commit_review cites: the first proof, or no proof (a key
+            # without one), or not a contributor (None)
+            entry = reference.content.get(key)
+            assert state.content_entry(branch_id, key) == (None if entry is None else entry[:1]), branch_id
     return len(state.branches)
 
 
-def test_contributors_match_reference_through_fuzz_run():
-    run = FuzzRun(7)
+def _check_run(run: FuzzRun, events: int) -> int:
     run.setup()
     checked = 0
-    while len(run.world.transcript) < 400:
+    while len(run.world.transcript) < events:
         run.step()
         for peer in run.world.peers.values():
             checked += assert_matches_reference(peer.state)
     run.world.run_until_quiescent()
     for peer in run.world.peers.values():
         checked += assert_matches_reference(peer.state)
+    return checked
+
+
+def test_contributors_match_reference_through_fuzz_run():
+    run = FuzzRun(7)
+    checked = _check_run(run, 400)
     core_union = run.world.peers["p1"].state.contributors(run.core_id)
     assert len(core_union.all_keys()) == 3  # every author reached the core
     assert checked > 1000
+
+
+def test_contributors_match_reference_through_churn_run():
+    """Peers leave and rejoin, so heads jump by whole gossip batches."""
+    run = FuzzRun(3, churn_schedule(3))
+    assert _check_run(run, 600) > 1000
+    assert any(" schedule " in line for line in run.world.transcript)
 
 
 def _push(state, branch, author, payload, at):
