@@ -241,6 +241,23 @@ class Branch:
     def selection_entry(self, sprout: ContentId) -> SelectionEntry | None:
         return next((entry for entry in self.sprout_selection if entry.sprout == sprout), None)
 
+    def add_signals(self, sprout: ContentId, vetoes=(), votes=()) -> bool:
+        """The one join of vetoes and votes, local or gossiped: each signal the
+        sprout's entry does not hold joins it, after those held, and a missing
+        entry is added.  Returns whether anything changed."""
+        entries = self.sprout_selection
+        for at, held in enumerate(entries):
+            if held.sprout == sprout:
+                break
+        else:
+            entries.append(SelectionEntry(sprout, tuple(vetoes), tuple(votes)))
+            return True
+        vetoes = tuple(s for s in vetoes if s not in held.vetoes)
+        votes = tuple(s for s in votes if s not in held.votes)
+        if vetoes or votes:
+            entries[at] = SelectionEntry(sprout, held.vetoes + vetoes, held.votes + votes)
+        return bool(vetoes or votes)
+
     def header_json(self) -> dict:
         return _kind("Branch")[0](self)
 

@@ -158,38 +158,27 @@ def ascend_to_core(state: ProtocolState, branch: Branch) -> Branch | None:
     return cursor if cursor.branch_type == PROPER else None
 
 
-def _creation_tick(state: ProtocolState, sprout_id: ContentId) -> int | None:
-    """Creation tick of a contending sprout; None until its branch record has
-    arrived (out-of-order gossip leaves a short window where a selection
-    entry is known before the sprout header resolves)."""
-    branch = state.branches.get(sprout_id)
-    return branch.timestamp.tick if branch is not None else None
+def _contenders(state: ProtocolState, branch: Branch) -> list[tuple[int, ContentId]]:
+    """Sorted (creation tick, sprout) pairs of the selection, leaving out an
+    entry whose sprout branch has not arrived (out-of-order gossip can make an
+    entry known before its sprout header resolves)."""
+    branches = state.branches
+    return sorted((branches[e.sprout].timestamp.tick, e.sprout)
+                  for e in branch.sprout_selection if e.sprout in branches)
 
 
 def contest_open_tick(state: ProtocolState, branch: Branch) -> int | None:
     """Tick the contest clock opened: when the second sprout entered the
     selection.  None while fewer than two resolvable sprouts contend."""
-    ticks = sorted(
-        tick for tick in (_creation_tick(state, e.sprout) for e in branch.sprout_selection)
-        if tick is not None
-    )
-    if len(ticks) < 2:
-        return None
-    return ticks[1]
+    contenders = _contenders(state, branch)
+    return contenders[1][0] if len(contenders) > 1 else None
 
 
 def default_successor(state: ProtocolState, branch: Branch) -> ContentId | None:
     """Deterministic default choice: earliest created sprout, ties broken by
     smallest id."""
-    known = [
-        (tick, e.sprout)
-        for e in branch.sprout_selection
-        for tick in (_creation_tick(state, e.sprout),)
-        if tick is not None
-    ]
-    if not known:
-        return None
-    return min(known)[1]
+    contenders = _contenders(state, branch)
+    return contenders[0][1] if contenders else None
 
 
 def _window_end(open_tick: int, config: BranchConfig) -> int:
@@ -216,10 +205,7 @@ def register_veto(state: ProtocolState, core_id: ContentId, veto: Veto, now: Log
         return Verdict.fail("no-contest")
     if now.tick > _window_end(open_tick, core.config):
         return Verdict.fail("veto-window-closed")
-    entry = owner.selection_entry(veto.sprout)
-    if veto not in entry.vetoes:
-        idx = owner.sprout_selection.index(entry)
-        owner.sprout_selection[idx] = SelectionEntry(entry.sprout, entry.vetoes + (veto,), entry.votes)
+    if owner.add_signals(veto.sprout, vetoes=(veto,)):
         state.touch(owner.branch_id)
     return OK
 
@@ -242,10 +228,7 @@ def cast_vote(state: ProtocolState, core_id: ContentId, vote: Vote, now: Logical
         return Verdict.fail("no-contest")
     if now.tick > _voting_end(open_tick, core.config):
         return Verdict.fail("engagement-window-closed")
-    entry = owner.selection_entry(vote.sprout)
-    if vote not in entry.votes:
-        idx = owner.sprout_selection.index(entry)
-        owner.sprout_selection[idx] = SelectionEntry(entry.sprout, entry.vetoes, entry.votes + (vote,))
+    if owner.add_signals(vote.sprout, votes=(vote,)):
         state.touch(owner.branch_id)
     return OK
 
@@ -358,19 +341,14 @@ def lignify(
         child = path[step + 1]
         # after a donation the level's selection lives on the reference branch
         holder = reference if current.branch_id in state.spent else current
-        selection = holder.sprout_selection
-        # an unresolved contender counts as still within its window
-        all_within = all(
-            tick is None or now.tick <= _window_end(tick, core.config)
-            for e in selection
-            for tick in (_creation_tick(state, e.sprout),)
-        )
-        if all_within:
+        # built once per level: an unresolved contender cannot close the windows
+        contenders = _contenders(state, holder)
+        if all(now.tick <= _window_end(tick, core.config) for tick, _ in contenders):
             emit(step, current, "stop-windows-open")
             break
-        default = default_successor(state, holder)
-        vetoed = any(entry.vetoes for entry in selection)
-        open_tick = contest_open_tick(state, holder)
+        default = contenders[0][1]  # default_successor
+        vetoed = any(entry.vetoes for entry in holder.sprout_selection)
+        open_tick = contenders[1][0] if len(contenders) > 1 else None  # contest_open_tick
         if vetoed and open_tick is not None:
             if now.tick > _voting_end(open_tick, core.config):
                 winner = vote_winner(state, holder)

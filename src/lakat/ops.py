@@ -135,13 +135,15 @@ def create_rooted_branch(
 
 @dataclass
 class MergePlan:
+    """A merge as planned: bucket_delta holds the belt tip's buckets that
+    base_head, the head of root_at that the merge extends, lacks."""
     core: ContentId
     belt: ContentId
     pr: PullRequest | None
     bucket_delta: set
     belt_tip: ContentId
     root_at: ContentId
-    base_head: ContentId  # head of root_at when planned
+    base_head: ContentId
     store: Store = field(repr=False, compare=False)
 
     @cached_property
@@ -159,22 +161,20 @@ def plan_merge(
     pr: PullRequest | None = None,
     root_at: ContentId | None = None,
 ) -> MergePlan:
-    """Compute the bucket delta: the belt's buckets the core lacks, found by
-    a structural diff of the two tries.  The plan's conflicts are derived
-    only when read.
+    """Compute the bucket delta: the belt's buckets that the head the merge
+    extends lacks, found by a structural diff of the two tries.  The plan's
+    conflicts are derived only when read.
 
     root_at names the branch whose head the merge submit will extend: the
     core itself, or one of its live sprouts when the core advances through
     lignification.
     """
-    core = state.branches[core_id]
-    belt = state.branches[belt_id]
+    belt_tip = state.branches[belt_id].stable_head
     root_id = root_at if root_at is not None else core_id
+    base_head = state.branches[root_id].stable_head
     store = state.store
-    delta = trie_mod.added_ids(store, get_submit(store, core.stable_head).trie_root,
-                               get_submit(store, belt.stable_head).trie_root)
-    return MergePlan(core_id, belt_id, pr, delta, belt.stable_head, root_id,
-                     state.branches[root_id].stable_head, store)
+    delta = trie_mod.added_ids(store, get_submit(store, base_head).trie_root, get_submit(store, belt_tip).trie_root)
+    return MergePlan(core_id, belt_id, pr, delta, belt_tip, root_id, base_head, store)
 
 
 def execute_merge(
@@ -185,7 +185,7 @@ def execute_merge(
     approvals: set[bytes] | None = None,
     message: str = "merge",
 ) -> Submit:
-    """Build and apply the merge submit.
+    """Build and apply the merge submit from the plan's heads and delta.
 
     Twig cores apply directly under the approval fraction; proper cores get
     the submit back for sprout wrapping and lignification.  The belt is left
@@ -193,8 +193,9 @@ def execute_merge(
     """
     core = state.branches[plan.core]
     belt = state.branches[plan.belt]
-    rooting = state.branches[plan.root_at]
     store = state.store
+    if (state.branches[plan.root_at].stable_head, belt.stable_head) != (plan.base_head, plan.belt_tip):
+        raise InvalidMerge("the rooting or belt head moved since the merge was planned")
     if core.stale:
         raise StaleBranch("core is stale")
     if belt.stale:
@@ -216,13 +217,11 @@ def execute_merge(
         if not merge_ready(state, plan.pr, core.config):
             raise InvalidMerge("review requirements not met")
 
-    base_head = rooting.stable_head
-    new_trie = trie_mod.Trie(get_submit(store, base_head).trie_root, store)
-    belt_trie = trie_mod.Trie(get_submit(store, belt.stable_head).trie_root, store)
-    incoming = sorted(trie_mod.added_ids(store, new_trie.root, belt_trie.root))
+    new_trie = trie_mod.Trie(get_submit(store, plan.base_head).trie_root, store)
+    belt_trie = trie_mod.Trie(get_submit(store, plan.belt_tip).trie_root, store)
+    incoming = sorted(plan.bucket_delta)
     for cid in incoming:
-        info = trie_mod.get(belt_trie, cid)
-        new_trie = trie_mod.insert(new_trie, cid, info)
+        new_trie = trie_mod.insert(new_trie, cid, trie_mod.get(belt_trie, cid))
     # reverse containment for arrangements that mention buckets the core already holds
     for cid in incoming:
         bucket = store.get_object(cid)
@@ -233,7 +232,7 @@ def execute_merge(
         belt_tip=plan.belt_tip,
         new_buckets=tuple(incoming),
     )
-    merge_submit = Submit(base_head, message, new_trie.root, trace, now)
+    merge_submit = Submit(plan.base_head, message, new_trie.root, trace, now)
 
     if core.branch_type == TWIG:
         if plan.root_at != plan.core:

@@ -10,21 +10,13 @@ root.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .codec import ContentId, LakatError, LogicalTimestamp, NULL_ID, protocol_struct
 from .identity import ContributionProof, KeyIdentity, make_contribution_proof
 from .bucket import InfoDelta, attach_info, arrangement_of, create_atomic_bucket, create_molecular_bucket, fresh_info
-from .branch import (
-    Branch,
-    PullRequestTrace,
-    Submit,
-    SubmitTrace,
-    TWIG,
-    get_submit,
-    in_closure,
-    own_submits,
-)
+from .branch import PullRequestTrace, Submit, SubmitTrace, TWIG, get_submit, in_closure, own_submits
 from .state import OK, ProtocolState, Verdict
 from .store import MissingRecord
 from . import trie as trie_mod
@@ -164,31 +156,6 @@ def check_maturity(state: ProtocolState, pr: PullRequest) -> bool:
     return in_closure(state.store, requesting.stable_head, pr.carrier_submit)
 
 
-def _trace_records(state: ProtocolState, branch: Branch, oldest_first: bool = False):
-    submits = own_submits(branch, state.store)
-    for _, submit in reversed(submits) if oldest_first else submits:
-        for cid in submit.submit_trace.reviews_trace:
-            try:
-                yield cid, state.store.get_object(cid)
-            except MissingRecord:
-                continue
-
-
-def commitments_for(state: ProtocolState, pr: PullRequest) -> dict[bytes, ReviewCommitment]:
-    """Committed reviewers of the pull request's requesting branch."""
-    requesting = state.branches[pr.requesting_branch]
-    found: dict[bytes, ReviewCommitment] = {}
-    for _, record in _trace_records(state, requesting):
-        if not isinstance(record, ReviewCommitment):
-            continue
-        if record.requesting_branch != pr.requesting_branch:
-            continue
-        if record.commitment_proof.branch_id != pr.target_branch:
-            continue
-        found.setdefault(record.commitment_proof.contributor, record)
-    return found
-
-
 def commit_review(
     state: ProtocolState,
     pr: PullRequest,
@@ -220,38 +187,65 @@ def commit_review(
     return OK
 
 
-def container_chain(state: ProtocolState, pr: PullRequest) -> list[ContentId]:
-    """Versions of the review container, oldest first, following bucket
-    parent links from the original container."""
-    requesting = state.branches[pr.requesting_branch]
-    by_parent: dict[ContentId, ContentId] = {}
-    for _, submit in own_submits(requesting, state.store):
-        for cid in submit.submit_trace.new_buckets:
-            try:
-                bucket = state.store.get_object(cid)
-            except MissingRecord:
-                continue
-            if getattr(bucket, "parent", None) is not None and bucket.parent != NULL_ID:
-                by_parent[bucket.parent] = cid
-    chain = [pr.review_container]
-    while chain[-1] in by_parent:
-        chain.append(by_parent[chain[-1]])
-    return chain
+class ReviewLedger:
+    """A pull request's review state from one oldest-first walk of the
+    requesting branch's own submits, which decodes only the reviews-trace
+    records (skipping a missing one).  The container chain, the referenced
+    items and the default scope read further records: each is derived on
+    first use."""
 
+    def __init__(self, state: ProtocolState, pr: PullRequest):
+        self.pr = pr
+        self.store = state.store
+        self.submits = [submit for _, submit in reversed(own_submits(state.branches[pr.requesting_branch], self.store))]
+        self.committed: set[bytes] = set()  # committed reviewer keys
+        self._items: list[ReviewItem] = []  # in submission order
+        for submit in self.submits:
+            for cid in submit.submit_trace.reviews_trace:
+                try:
+                    record = self.store.get_object(cid)
+                except MissingRecord:
+                    continue
+                if isinstance(record, ReviewItem):
+                    self._items.append(record)
+                elif (isinstance(record, ReviewCommitment) and record.requesting_branch == pr.requesting_branch
+                      and record.commitment_proof.branch_id == pr.target_branch):
+                    self.committed.add(record.commitment_proof.contributor)
 
-def review_items_for(state: ProtocolState, pr: PullRequest) -> list[tuple[bytes, ReviewItem]]:
-    """(reviewer, item) pairs referenced from the review container, in
-    submission order."""
-    container_head = container_chain(state, pr)[-1]
-    container = state.store.get_object(container_head)
-    referenced = set(arrangement_of(state.store, container))
-    requesting = state.branches[pr.requesting_branch]
-    out = []
-    for _, record in _trace_records(state, requesting, oldest_first=True):
-        if isinstance(record, ReviewItem) and record.bucket in referenced:
-            review_bucket = state.store.get_object(record.bucket)
-            out.append((bytes(state.store.get(review_bucket.creator_root)), record))
-    return out
+    @cached_property
+    def chain(self) -> list[ContentId]:
+        """Versions of the review container, oldest first, following bucket
+        parent links from the original container (read newest first, so a
+        parent named twice leads to its earliest child)."""
+        by_parent: dict[ContentId, ContentId] = {}
+        for submit in reversed(self.submits):
+            for cid in submit.submit_trace.new_buckets:
+                try:
+                    bucket = self.store.get_object(cid)
+                except MissingRecord:
+                    continue
+                if getattr(bucket, "parent", None) is not None and bucket.parent != NULL_ID:
+                    by_parent[bucket.parent] = cid
+        chain = [self.pr.review_container]
+        while chain[-1] in by_parent:
+            chain.append(by_parent[chain[-1]])
+        return chain
+
+    @cached_property
+    def items(self) -> list[tuple[bytes, ReviewItem]]:
+        """(reviewer, item) pairs referenced from the latest container
+        version, in submission order."""
+        store = self.store
+        referenced = set(arrangement_of(store, store.get_object(self.chain[-1])))
+        return [(bytes(store.get(store.get_object(item.bucket).creator_root)), item)
+                for item in self._items if item.bucket in referenced]
+
+    def default_scope(self) -> list[ContentId]:
+        """Content buckets the requesting branch itself introduced, excluding
+        review machinery (container versions and review buckets)."""
+        skip = set(self.chain)
+        return list(dict.fromkeys(cid for submit in self.submits if not submit.submit_trace.reviews_trace
+                                  for cid in submit.submit_trace.new_buckets if cid not in skip))
 
 
 def submit_review(
@@ -266,29 +260,27 @@ def submit_review(
 ) -> tuple[Verdict, ReviewItem | None]:
     """Push a review submit: a review bucket, a new container version holding
     it, the reviewed buckets' info gaining the review reference."""
-    committed = commitments_for(state, pr)
-    if reviewer.public_key not in committed:
+    ledger = ReviewLedger(state, pr)
+    if reviewer.public_key not in ledger.committed:
         return Verdict.fail("no-commitment"), None
     if verdict not in ("accept", "reject", "comment"):
         return Verdict.fail("bad-verdict", verdict), None
     store = state.store
     requesting = state.branches[pr.requesting_branch]
     if reviewed_buckets is None:
-        reviewed_buckets = default_review_scope(state, pr)
+        reviewed_buckets = ledger.default_scope()
     for cid in reviewed_buckets:
         if not store.has(cid):
             return Verdict.fail("dangling-reviewed-bucket", cid.hex), None
     creator_root = store.put(reviewer.public_key)
     parent_bucket = update_of if update_of is not None else NULL_ID
     _, review_bucket_id = create_atomic_bucket(store, creator_root, parent_bucket, text, [], now)
-    prior_items = [item for who, item in review_items_for(state, pr) if who == reviewer.public_key]
+    prior_items = [item for who, item in ledger.items if who == reviewer.public_key]
     item = ReviewItem(review_bucket_id, tuple(reviewed_buckets), verdict, len(prior_items) + 1)
     item_id = store.put_object(item)
 
-    chain = container_chain(state, pr)
-    container_head = chain[-1]
-    old_container = store.get_object(container_head)
-    arrangement = arrangement_of(store, old_container) + [review_bucket_id]
+    container_head = ledger.chain[-1]
+    arrangement = arrangement_of(store, store.get_object(container_head)) + [review_bucket_id]
     _, new_container_id = create_molecular_bucket(store, creator_root, container_head, arrangement, now)
 
     base_trie = trie_mod.Trie(get_submit(store, requesting.stable_head).trie_root, store)
@@ -311,30 +303,14 @@ def submit_review(
     return OK, item
 
 
-def default_review_scope(state: ProtocolState, pr: PullRequest) -> list[ContentId]:
-    """Content buckets the requesting branch itself introduced, excluding
-    review machinery (container versions and review buckets)."""
-    requesting = state.branches[pr.requesting_branch]
-    skip = set(container_chain(state, pr))
-    reviewed = []
-    for _, submit in reversed(own_submits(requesting, state.store)):
-        if submit.submit_trace.reviews_trace:
-            continue
-        for cid in submit.submit_trace.new_buckets:
-            if cid not in skip and cid not in reviewed:
-                reviewed.append(cid)
-    return reviewed
-
-
 def merge_ready(state: ProtocolState, pr: PullRequest, target_config) -> bool:
     """True once reviewer count, completed rounds, and the acceptance rule
     are all simultaneously satisfied."""
-    committed = commitments_for(state, pr)
-    if not committed:
+    ledger = ReviewLedger(state, pr)
+    if not ledger.committed:
         return False
-    items = review_items_for(state, pr)
-    per_reviewer: dict[bytes, list[ReviewItem]] = {key: [] for key in committed}
-    for reviewer, item in items:
+    per_reviewer: dict[bytes, list[ReviewItem]] = {key: [] for key in ledger.committed}
+    for reviewer, item in ledger.items:
         if reviewer in per_reviewer:
             per_reviewer[reviewer].append(item)
     with_items = {key for key, lst in per_reviewer.items() if lst}

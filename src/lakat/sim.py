@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .codec import CodecError, ContentId, LakatError, LogicalTimestamp, canonical_decode, canonical_encode
 from .identity import ContributionProof, KeyIdentity
-from .branch import Branch, BranchError, IntegrityError, SelectionEntry, ancestry, branch_header_from_json
+from .branch import Branch, BranchError, IntegrityError, ancestry, branch_header_from_json
 from .lignify import SproutWrap, selection_tree
 from .state import ProtocolState
 from .store import MemoryStore, MissingRecord
@@ -284,22 +284,6 @@ def receive_gossip(world: World, peer: Peer, payload: bytes):
         world.flush_gossip(peer.name)
 
 
-def _merge_selections(local: Branch, remote: Branch):
-    by_sprout = {entry.sprout: entry for entry in local.sprout_selection}
-    for entry in remote.sprout_selection:
-        mine = by_sprout.get(entry.sprout)
-        if mine is None:
-            local.sprout_selection.append(entry)
-            by_sprout[entry.sprout] = entry
-            continue
-        vetoes = mine.vetoes + tuple(v for v in entry.vetoes if v not in mine.vetoes)
-        votes = mine.votes + tuple(v for v in entry.votes if v not in mine.votes)
-        merged = SelectionEntry(entry.sprout, vetoes, votes)
-        idx = local.sprout_selection.index(mine)
-        local.sprout_selection[idx] = merged
-        by_sprout[entry.sprout] = merged
-
-
 def adopt_header(state: ProtocolState, header_text: str) -> tuple[bool, str | None]:
     """Join a remote branch header into the local state.
 
@@ -332,7 +316,8 @@ def adopt_header(state: ProtocolState, header_text: str) -> tuple[bool, str | No
         return True, None
     before = local.fingerprint()
     if local.stable_head == remote.stable_head:
-        _merge_selections(local, remote)
+        for entry in remote.sprout_selection:
+            local.add_signals(entry.sprout, entry.vetoes, entry.votes)
         local.sprouts |= remote.sprouts
         for token in remote.branch_token:
             if token not in local.branch_token:

@@ -4,7 +4,7 @@ import pytest
 
 from lakat.codec import NULL_ID, canonical_encode, content_id
 from lakat.identity import KeyIdentity, make_contribution_proof
-from lakat.branch import Submit, SubmitTrace, Veto, Vote
+from lakat.branch import SelectionEntry, Submit, SubmitTrace, Veto, Vote, branch_header_from_json
 from lakat.lignify import (
     InvalidRooting,
     PrematureConversion,
@@ -20,6 +20,7 @@ from lakat.lignify import (
     wrap_merge_in_sprout,
 )
 from lakat.ops import create_genesis_branch
+from lakat.sim import adopt_header
 from conftest import proper_config, tick
 
 L, E, B = 10, 10, 1
@@ -80,6 +81,10 @@ def test_second_sprout_creates_contest(state, alice):
     assert len(core.sprout_selection) == 2
     assert contest_open_tick(state, core) == 4
     assert core.sprouts == {wrap_a.sprout, wrap_b.sprout}
+    # an entry whose sprout header has not arrived neither opens nor wins the contest
+    core.sprout_selection.insert(0, SelectionEntry(content_id(b"not arrived")))
+    assert contest_open_tick(state, core) == 4
+    assert default_successor(state, core) == wrap_a.sprout
 
 
 def test_chained_sprout_depth_two(state, alice):
@@ -147,6 +152,9 @@ def test_default_tie_breaks_on_id(state, alice):
 def test_empty_selection_no_successor(state, alice):
     core = make_core(state, alice)
     assert default_successor(state, core) is None
+    core.sprout_selection.append(SelectionEntry(content_id(b"not arrived")))
+    assert default_successor(state, core) is None
+    assert contest_open_tick(state, core) is None
 
 
 # -- veto / vote windows -----------------------------------------------------------
@@ -162,12 +170,25 @@ def contest(state, alice, bob, carol):
     return state, core, wrap_a, wrap_b
 
 
-def test_veto_at_49_accepted(contest, bob):
+def test_veto_at_49_accepted(contest, bob, carol):
     state, core, wrap_a, wrap_b = contest
-    verdict = register_veto(state, core.branch_id, signed_veto(bob, wrap_b.sprout, 49), tick(49))
+    veto = signed_veto(bob, wrap_b.sprout, 49)
+    verdict = register_veto(state, core.branch_id, veto, tick(49))
     assert verdict.ok
     entry = core.selection_entry(wrap_b.sprout)
     assert len(entry.vetoes) == 1
+    # registered again, or gossiped back by a peer, the veto joins once
+    held = core.fingerprint()
+    assert register_veto(state, core.branch_id, veto, tick(49)).ok
+    assert adopt_header(state, core.header_text()) == (False, None)
+    assert core.fingerprint() == held
+    # an echo that lists the veto after another joins only the new one, after those held
+    echo = branch_header_from_json(core.header_json())
+    other = signed_veto(carol, wrap_b.sprout, 50)
+    echo.sprout_selection = [SelectionEntry(wrap_b.sprout, (other, veto)), SelectionEntry(wrap_a.sprout)]
+    assert adopt_header(state, echo.header_text()) == (True, None)
+    assert [e.sprout for e in core.sprout_selection] == [wrap_a.sprout, wrap_b.sprout]
+    assert core.selection_entry(wrap_b.sprout).vetoes == (veto, other)
 
 
 def test_veto_at_52_rejected_window_closed(contest, bob):
@@ -233,6 +254,18 @@ def test_single_sprout_window_elapsed_advances_head(state, alice):
     assert wrap_a.sprout in state.spent
     assert any("donate-default" in line for line in log)
     assert not any("convert" in line for line in log)
+
+
+def test_an_unarrived_contender_does_not_hold_the_window_open(state, alice):
+    """A selection entry whose sprout header has not arrived is no contender:
+    once the arrived sprout's window has passed, the walk decides."""
+    core = make_core(state, alice)
+    wrap_a, cid_a = wrap_at(state, core.branch_id, alice, "m1", 1)
+    core.sprout_selection.append(SelectionEntry(content_id(b"not arrived")))
+    wrap_b, cid_b = wrap_at(state, wrap_a.sprout, alice, "m2", L + B + 2)
+    log = lignify(state, core.branch_id, cid_b, now=tick(L + B + 2))
+    assert core.stable_head == cid_a
+    assert any("donate-default" in line for line in log)
 
 
 def test_trigger_within_window_stops(state, alice):

@@ -22,6 +22,7 @@ from lakat.review import commit_review, create_pull_request, submit_review, twig
 from lakat.state import build_content_submit
 from lakat.ops import apply_config_change
 from lakat import trie as trie_mod
+from lakat.trie import added_ids
 from conftest import proper_config, tick, twig_config
 
 
@@ -265,6 +266,50 @@ def test_belt_failing_validation_rejected(state, alice, bob):
     plan = plan_merge(state, core.branch_id, belt.branch_id)
     with pytest.raises(InvalidMerge):
         execute_merge(state, plan, alice, tick(4), approvals={alice.public_key})
+
+
+@pytest.mark.parametrize("moved", ["core", "belt"])
+def test_a_plan_whose_core_or_belt_moved_is_refused_before_any_write(state, alice, carol, moved):
+    """The plan's delta and conflicts were taken at the planned heads, so a
+    push to either side in between refuses the plan; nothing is written."""
+    core = create_genesis_branch(state, twig_config(stale_after_merge=False), alice, tick(0))
+    _push(state, core, alice, b"core work", 1)
+    belt = create_rooted_branch(state, core.stable_head, core.branch_id, carol, tick(2))
+    _push(state, belt, carol, b"belt work", 3)
+    plan = plan_merge(state, core.branch_id, belt.branch_id)
+    if moved == "core":
+        _push(state, core, alice, b"core again", 4)
+    else:
+        _push(state, belt, carol, b"belt again", 4)
+    records, proofs = len(state.store), list(state.proofs[core.branch_id])
+    with pytest.raises(InvalidMerge, match="moved since the merge was planned"):
+        execute_merge(state, plan, alice, tick(5), approvals={alice.public_key})
+    assert len(state.store) == records
+    assert list(state.proofs[core.branch_id]) == proofs
+
+
+def test_a_merge_rooted_at_a_live_sprout_takes_its_delta_against_the_sprout_head(monkeypatch, state, alice, bob):
+    """The plan diffs the belt against the head the merge extends, once: the
+    merge submit introduces exactly the plan's delta, which leaves out what
+    the sprout already holds beyond the core."""
+    core = create_genesis_branch(state, proper_config(lignification_time=50), alice, tick(0))
+    first = create_rooted_branch(state, core.stable_head, core.branch_id, bob, tick(1), twig_config())
+    _push(state, first, bob, b"first twig work", 2)
+    pr = _reviewed_pr(state, core, first, bob, alice, 3)
+    head = submit_id(execute_merge(state, plan_merge(state, core.branch_id, first.branch_id, pr), alice, tick(6)))
+    sprout = wrap_merge_in_sprout(state, head, alice.public_key, first.branch_id, core.branch_id, tick(6)).sprout
+    second = create_rooted_branch(state, head, sprout, bob, tick(7), twig_config())
+    _push(state, second, bob, b"second twig work", 8)
+    pr = _reviewed_pr(state, core, second, bob, alice, 9)
+    diffs = []
+    monkeypatch.setattr(trie_mod, "added_ids", lambda *args: diffs.append(args) or added_ids(*args))
+    plan = plan_merge(state, core.branch_id, second.branch_id, pr, root_at=sprout)
+    merge = execute_merge(state, plan, alice, tick(12))
+    assert len(diffs) == 1
+    assert merge.parent == head
+    assert plan.bucket_delta == set(merge.submit_trace.new_buckets)
+    assert plan.bucket_delta == bucket_set(state, second.branch_id) - bucket_set(state, sprout)
+    assert bucket_set(state, first.branch_id) - bucket_set(state, core.branch_id) - plan.bucket_delta
 
 
 # -- staleness -------------------------------------------------------------------

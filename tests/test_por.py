@@ -5,22 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from lakat.codec import content_id
+from lakat.codec import content_id, object_id
 from lakat.identity import KeyIdentity, make_contribution_proof
-from lakat.branch import AcceptanceRule, Rational
+from lakat.branch import AcceptanceRule, Rational, get_submit
 from lakat.ops import create_genesis_branch, create_rooted_branch, execute_merge, plan_merge
 from lakat.review import (
+    ReviewLedger,
     check_maturity,
     commit_review,
-    commitments_for,
     create_pull_request,
     merge_ready,
-    review_items_for,
     submit_review,
     twig_merge_vote,
     twig_push,
 )
-from lakat.state import build_content_submit
+from lakat.state import ProtocolState, build_content_submit
+from lakat.store import MemoryStore
 from conftest import proper_config, tick, twig_config
 
 
@@ -30,6 +30,17 @@ def _push(state, branch, author, payload, at, message="content"):
     assert verdict.ok, verdict
     state.add_proof(make_contribution_proof(author, branch.branch_id, "content", cid))
     return cid
+
+
+def _lacking(state, *missing):
+    """The state's branches over a copy of its store without the given records."""
+    copy = ProtocolState(MemoryStore())
+    for cid in state.store.ids():
+        if cid not in missing:
+            copy.store.put(state.store.get(cid))
+    for branch in state.branches.values():
+        copy.add_branch(branch)
+    return copy
 
 
 @pytest.fixture
@@ -86,7 +97,7 @@ def test_commit_review_lifecycle(por_world, alice, bob):
     pr, _ = create_pull_request(state, twig.branch_id, twig.branch_id, target.branch_id, bob, tick(3))
     verdict = commit_review(state, pr, alice, tick(4))
     assert verdict.ok
-    assert alice.public_key in commitments_for(state, pr)
+    assert alice.public_key in ReviewLedger(state, pr).committed
     # commitment made alice a review contributor of the requesting twig
     assert state.contributors(twig.branch_id).has(alice.public_key, "review")
 
@@ -128,6 +139,9 @@ def test_review_without_commitment_rejected(por_world, alice, bob):
     verdict, _ = submit_review(state, pr, alice, "accept", b"fine", tick(4))
     assert not verdict.ok
     assert verdict.code == "no-commitment"
+    # the commitment check comes first: it reads no container record
+    verdict, _ = submit_review(_lacking(state, pr.review_container), pr, alice, "accept", b"fine", tick(4))
+    assert verdict.code == "no-commitment"
 
 
 def test_review_flow_and_container_reference(por_world, alice, bob):
@@ -136,7 +150,7 @@ def test_review_flow_and_container_reference(por_world, alice, bob):
     assert commit_review(state, pr, alice, tick(4)).ok
     verdict, item = submit_review(state, pr, alice, "accept", b"looks right", tick(5))
     assert verdict.ok
-    pairs = review_items_for(state, pr)
+    pairs = ReviewLedger(state, pr).items
     assert [(who, it.verdict) for who, it in pairs] == [(alice.public_key, "accept")]
     # the reviewed bucket's info now references the review bucket
     from lakat import trie as trie_mod
@@ -159,6 +173,36 @@ def test_review_update_points_to_old_item(por_world, alice, bob):
     new_bucket = state.store.get_object(second.bucket)
     assert new_bucket.parent == first.bucket
     assert second.round == 2
+
+
+def test_default_scope_over_two_rounds_leaves_out_the_review_machinery(por_world, alice, bob):
+    state, target, twig = por_world
+    contribution = get_submit(state.store, twig.stable_head).submit_trace.new_buckets
+    pr, _ = create_pull_request(state, twig.branch_id, twig.branch_id, target.branch_id, bob, tick(3))
+    assert commit_review(state, pr, alice, tick(4)).ok
+    _, first = submit_review(state, pr, alice, "reject", b"needs work", tick(5))
+    _, second = submit_review(state, pr, alice, "accept", b"fixed now", tick(6))
+    ledger = ReviewLedger(state, pr)
+    assert len(ledger.chain) == 3 and ledger.chain[0] == pr.review_container
+    assert ledger.items == [(alice.public_key, first), (alice.public_key, second)]
+    scope = ledger.default_scope()
+    assert scope == list(contribution) == list(second.reviewed_buckets)
+    assert not set(scope) & (set(ledger.chain) | {first.bucket, second.bucket})
+
+
+def test_ledger_skips_a_missing_trace_record_or_container_bucket(por_world, alice, bob):
+    state, target, twig = por_world
+    pr, _ = create_pull_request(state, twig.branch_id, twig.branch_id, target.branch_id, bob, tick(3))
+    assert commit_review(state, pr, alice, tick(4)).ok
+    _, first = submit_review(state, pr, alice, "reject", b"needs work", tick(5))
+    _, second = submit_review(state, pr, alice, "accept", b"fixed now", tick(6))
+    chain = ReviewLedger(state, pr).chain
+    without_item = ReviewLedger(_lacking(state, object_id(first)), pr)
+    assert without_item.committed == {alice.public_key}
+    assert without_item.items == [(alice.public_key, second)]
+    without_head = ReviewLedger(_lacking(state, chain[-1]), pr)
+    assert without_head.chain == chain[:-1]
+    assert without_head.items == [(alice.public_key, first)]
 
 
 def test_dangling_reviewed_bucket_rejected(por_world, alice, bob):
