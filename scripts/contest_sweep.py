@@ -10,6 +10,7 @@ import os
 import sys
 import time
 
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 
 from contest_driver import enumerate_cases, run_case  # noqa: E402

@@ -309,7 +309,7 @@ def lignify(
     state: ProtocolState,
     core_id: ContentId,
     new_merge_submit: ContentId,
-    now: LogicalTimestamp | None = None,
+    now: LogicalTimestamp,
 ) -> list[str]:
     """Run the finality walk triggered by a newly wrapped merge submit.
 
@@ -319,8 +319,6 @@ def lignify(
     core = state.branches.get(core_id)
     if core is None:
         raise LignificationError("unknown core branch")
-    if now is None:
-        raise LignificationError("current tick required")
     trigger_sprout = None
     for sprout_id, wrap in state.wraps.items():
         if wrap.merge_submit == new_merge_submit and sprout_id not in state.spent:
@@ -346,33 +344,22 @@ def lignify(
         if all(now.tick <= _window_end(tick, core.config) for tick, _ in contenders):
             emit(step, current, "stop-windows-open")
             break
-        default = contenders[0][1]  # default_successor
-        vetoed = any(entry.vetoes for entry in holder.sprout_selection)
         open_tick = contenders[1][0] if len(contenders) > 1 else None  # contest_open_tick
-        if vetoed and open_tick is not None:
-            if now.tick > _voting_end(open_tick, core.config):
-                winner = vote_winner(state, holder)
-                if child.branch_id != winner:
-                    _oust_losers(state, holder, reference, keep=winner, skip=child.branch_id)
-                    convert_sprout(state, child.branch_id, reference.branch_id)
-                    converted.append(child.branch_id)
-                    emit(step, child, "convert-vote-loser")
-                    reference = child
-                else:
-                    _donate(state, reference, holder, child)
-                    emit(step, child, "donate-vote-winner")
-            else:
-                emit(step, current, "stop-voting-open")
-                break
+        contested = open_tick is not None and any(entry.vetoes for entry in holder.sprout_selection)
+        if contested and now.tick <= _voting_end(open_tick, core.config):
+            emit(step, current, "stop-voting-open")
+            break
+        winner = vote_winner(state, holder) if contested else contenders[0][1]  # default_successor
+        if child.branch_id == winner:
+            _donate(state, reference, holder, child)
+            emit(step, child, "donate-vote-winner" if contested else "donate-default")
         else:
-            if child.branch_id == default:
-                _donate(state, reference, holder, child)
-                emit(step, child, "donate-default")
-            else:
-                convert_sprout(state, child.branch_id, reference.branch_id)
-                converted.append(child.branch_id)
-                emit(step, child, "convert-side-branch")
-                reference = child
+            if contested:
+                _oust_losers(state, holder, reference, keep=winner, skip=child.branch_id)
+            convert_sprout(state, child.branch_id, reference.branch_id)
+            converted.append(child.branch_id)
+            emit(step, child, "convert-vote-loser" if contested else "convert-side-branch")
+            reference = child
     recompute_sprouts(state, core)
     for branch_id in converted:
         recompute_sprouts(state, state.branches[branch_id])

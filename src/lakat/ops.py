@@ -216,6 +216,8 @@ def execute_merge(
             raise InvalidMerge("pull request is not mature")
         if not merge_ready(state, plan.pr, core.config):
             raise InvalidMerge("review requirements not met")
+    elif core.branch_type == TWIG and plan.root_at != plan.core:
+        raise InvalidMerge("twig merges apply to the twig head directly")
 
     new_trie = trie_mod.Trie(get_submit(store, plan.base_head).trie_root, store)
     belt_trie = trie_mod.Trie(get_submit(store, plan.belt_tip).trie_root, store)
@@ -235,8 +237,6 @@ def execute_merge(
     merge_submit = Submit(plan.base_head, message, new_trie.root, trace, now)
 
     if core.branch_type == TWIG:
-        if plan.root_at != plan.core:
-            raise InvalidMerge("twig merges apply to the twig head directly")
         counted = approvals if approvals is not None else {author.public_key}
         verdict, cid = twig_merge_vote(state, plan.core, merge_submit, counted)
         if not verdict.ok:

@@ -272,10 +272,10 @@ def submit_review(
     for cid in reviewed_buckets:
         if not store.has(cid):
             return Verdict.fail("dangling-reviewed-bucket", cid.hex), None
+    prior_items = [item for who, item in ledger.items if who == reviewer.public_key]
     creator_root = store.put(reviewer.public_key)
     parent_bucket = update_of if update_of is not None else NULL_ID
     _, review_bucket_id = create_atomic_bucket(store, creator_root, parent_bucket, text, [], now)
-    prior_items = [item for who, item in ledger.items if who == reviewer.public_key]
     item = ReviewItem(review_bucket_id, tuple(reviewed_buckets), verdict, len(prior_items) + 1)
     item_id = store.put_object(item)
 

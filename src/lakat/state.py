@@ -65,9 +65,6 @@ class ProtocolState:
         # derived state of contributors() keyed by branch and revalidated by
         # key; what is keyed by content id is memoised in the store
         self._direct: dict[ContentId, tuple] = {}  # branch -> (key, direct set, evidence)
-        self._requesters: dict[ContentId, set] = {}  # target -> belts asking it, see _asking
-        self._indexed: dict[ContentId, ContentId] = {}  # belt -> head its requests were indexed at
-        self._moved: set[ContentId] = set()  # branches touched since _asking last ran
 
     # -- registration ------------------------------------------------------
 
@@ -78,10 +75,8 @@ class ProtocolState:
 
     def touch(self, *branch_ids: ContentId):
         """Mark branches whose headers may have changed; the next gossip flush
-        compares their fingerprints, and _asking re-indexes their pull
-        requests.  Every mutation of a Branch calls this."""
+        compares their fingerprints.  Every mutation of a Branch calls this."""
         self.touched.update(branch_ids)
-        self._moved.update(branch_ids)
 
     def requests_for(self, branch_id: ContentId) -> BranchRequests:
         return self.requests.setdefault(branch_id, BranchRequests())
@@ -128,19 +123,18 @@ class ProtocolState:
         belt that a submit in its inclusion closure merged, when the belt's
         own closure carries a pull request from the belt to the branch.  The
         walk is depth-first pre-order and visits each branch once: the wrap's
-        requesting branch first, then the belts in closure order.  A direct
-        set is the branch's verified proofs whose evidence lies in root..head
-        (derive_contributors); it is derived when the walk reaches it, so a
-        caller that stops early derives no more.
+        requesting branch first, then the belts in the order of the merge
+        index.  A direct set is the branch's verified proofs whose evidence
+        lies in root..head (derive_contributors); it is derived when the walk
+        reaches it, so a caller that stops early derives no more.
 
         Derived state follows what changed: the direct set per branch, keyed
         on (stable head, token list, accepted proof kinds, proof count); the
         evidence per branch, extended while its head descends, its belt
-        closures walked only when a proof misses root..head; the belts asking
-        each target, re-indexed for the branches touched since; and, in the
-        store, the merge index per head and the attestation ids per trie
-        node."""
-        branches, asking = self.branches, None
+        closures walked only when a proof misses root..head; and, in the
+        store, the merge index per head, which names both the merged belts
+        and the pull-request pairs, and the attestation ids per trie node."""
+        branches, store = self.branches, self.store
         visited = set()
         stack = [branch_id]
         while stack:
@@ -152,12 +146,10 @@ class ProtocolState:
             wrap = self.wraps.get(current)
             yield self._direct_set(branch), None if wrap is None else wrap.creator
             reached = [] if wrap is None else [wrap.requesting_branch]
-            belts = _merge_index(self.store, branch.stable_head)[0]
-            if belts:
-                asking = self._asking() if asking is None else asking
-                requesting = asking.get(current)
-                if requesting:
-                    reached.extend(b for b in belts if b in requesting)
+            for belt_id in _merge_index(store, branch.stable_head)[0]:
+                belt = branches.get(belt_id)
+                if belt is not None and (current, belt_id) in _merge_index(store, belt.stable_head)[1]:
+                    reached.append(belt_id)
             stack.extend(reversed(reached))
 
     def _direct_set(self, branch: Branch) -> ContributorSet:
@@ -171,29 +163,6 @@ class ProtocolState:
         direct = derive_contributors(branch, proofs, self.store, evidence=evidence)
         self._direct[branch_id] = (key, direct, evidence)
         return direct
-
-    def _asking(self) -> dict[ContentId, set]:
-        """target -> belts whose current head's closure carries a pull request
-        from the belt to the target; a belt touched since the last call whose
-        head moved is re-indexed from the difference of the two heads'
-        pull-request pairs."""
-        index, indexed, store, moved = self._requesters, self._indexed, self.store, self._moved
-        for belt_id in list(moved):
-            branch = self.branches.get(belt_id)
-            old = indexed.get(belt_id, NULL_ID)
-            new = old if branch is None else branch.stable_head
-            old_pairs, new_pairs = _merge_index(store, old)[1], _merge_index(store, new)[1]
-            indexed[belt_id] = new
-            moved.discard(belt_id)  # not before: a head with missing records stays to re-index
-            if old_pairs is new_pairs:  # the same head, or a submit without pull requests
-                continue
-            for target, requesting in old_pairs - new_pairs:
-                if requesting == belt_id:
-                    index[target].discard(belt_id)
-            for target, requesting in new_pairs - old_pairs:
-                if requesting == belt_id:
-                    index.setdefault(target, set()).add(belt_id)
-        return index
 
     # -- submit appending --------------------------------------------------
 

@@ -251,7 +251,7 @@ def test_contributors_match_reference_through_c7_flow():
                                        tick(0), message="quiet core")
     quiet_belt = create_rooted_branch(state, quiet_core.stable_head, quiet_core.branch_id,
                                       bob, tick(1), twig_config(stale_after_merge=False))
-    _push(state, quiet_belt, bob, b"quiet work", 2)
+    quiet_work = _push(state, quiet_belt, bob, b"quiet work", 2)
     check()
     execute_merge(state, plan_merge(state, quiet_core.branch_id, quiet_belt.branch_id),
                   alice, tick(3), approvals={alice.public_key})
@@ -265,3 +265,9 @@ def test_contributors_match_reference_through_c7_flow():
                         bob, tick(5))
     check()
     assert bob.public_key in state.contributors(quiet_core.branch_id).content
+    # a belt head moved below its pull-request carriers by direct assignment,
+    # with no touch: the closure of the new head carries no pull request, so
+    # the belt leaves the core's reach
+    state.branches[quiet_belt.branch_id].stable_head = quiet_work
+    assert bob.public_key not in state.contributors(quiet_core.branch_id).content
+    check()

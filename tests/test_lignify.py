@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -452,3 +455,14 @@ def test_lignified_head_never_revoked(state, alice, rng):
         chain = [cid for cid, _ in ancestry(state.store, core.stable_head)][::-1]
         assert chain[: len(prefix)] == prefix, "lignified prefix was rewritten"
         prefix = chain
+
+
+def test_contest_sweep_script_runs_without_pythonpath():
+    """scripts/contest_sweep.py finds the package itself, as its usage line
+    runs it."""
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, os.path.join("scripts", "contest_sweep.py"), "--max-sprouts", "1"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert " agree " in done.stdout.splitlines()[-1], done.stdout

@@ -288,6 +288,21 @@ def test_a_plan_whose_core_or_belt_moved_is_refused_before_any_write(state, alic
     assert list(state.proofs[core.branch_id]) == proofs
 
 
+def test_a_twig_merge_rooted_at_another_branch_is_refused_before_any_write(state, alice, carol):
+    """A twig core takes merges on its own head only, so a plan rooted at
+    another branch is refused before the merge trie is built."""
+    core = create_genesis_branch(state, twig_config(stale_after_merge=False), alice, tick(0))
+    belt = create_rooted_branch(state, core.stable_head, core.branch_id, carol, tick(1))
+    _push(state, belt, carol, b"belt work", 2)
+    other = create_rooted_branch(state, core.stable_head, core.branch_id, alice, tick(3))
+    plan = plan_merge(state, core.branch_id, belt.branch_id, root_at=other.branch_id)
+    records, proofs = len(state.store), list(state.proofs[core.branch_id])
+    with pytest.raises(InvalidMerge, match="twig head directly"):
+        execute_merge(state, plan, alice, tick(4), approvals={alice.public_key})
+    assert len(state.store) == records
+    assert list(state.proofs[core.branch_id]) == proofs
+
+
 def test_a_merge_rooted_at_a_live_sprout_takes_its_delta_against_the_sprout_head(monkeypatch, state, alice, bob):
     """The plan diffs the belt against the head the merge extends, once: the
     merge submit introduces exactly the plan's delta, which leaves out what

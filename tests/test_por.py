@@ -20,7 +20,7 @@ from lakat.review import (
     twig_push,
 )
 from lakat.state import ProtocolState, build_content_submit
-from lakat.store import MemoryStore
+from lakat.store import MemoryStore, MissingRecord
 from conftest import proper_config, tick, twig_config
 
 
@@ -213,6 +213,17 @@ def test_dangling_reviewed_bucket_rejected(por_world, alice, bob):
                                reviewed_buckets=[content_id(b"ghost")])
     assert not verdict.ok
     assert verdict.code == "dangling-reviewed-bucket"
+
+
+def test_review_without_its_container_record_raises_before_any_write(por_world, alice, bob):
+    state, target, twig = por_world
+    pr, _ = create_pull_request(state, twig.branch_id, twig.branch_id, target.branch_id, bob, tick(3))
+    assert commit_review(state, pr, alice, tick(4)).ok
+    lacking = _lacking(state, pr.review_container)
+    records = len(lacking.store)
+    with pytest.raises(MissingRecord):
+        submit_review(lacking, pr, alice, "accept", b"fine", tick(5))
+    assert len(lacking.store) == records
 
 
 # -- merge_ready against exhaustive enumeration ------------------------------
