@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Long random multi-peer run checking that lignified history prefixes are
 never rewritten and that identical seeds reproduce identical transcripts.
-It also prints the gossip payload bytes built per transcript event, and
+It also prints the gossip payload bytes built per transcript event, the
+records shipped per unique record shipped, the header texts written, and
 the transcript events per CPU second in each quarter of the run.
 
     python3 scripts/finality_fuzz.py [--events 10000] [--seed 42] [--determinism]
@@ -16,20 +17,28 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 
 import lakat.sim as sim  # noqa: E402
+from lakat.branch import Branch  # noqa: E402
+from lakat.codec import canonical_decode  # noqa: E402
 from fuzz_driver import FuzzRun, state_digest  # noqa: E402
 
 
-def count_payload_bytes() -> list:
-    """Wrap sim.build_gossip_payload; the returned one-item list sums the bytes it builds."""
-    total, build = [0], sim.build_gossip_payload
+def tap_gossip() -> dict:
+    """Wrap sim.build_gossip_payload and Branch.header_text: the returned dict
+    keeps every payload built ("payloads", read after the run so that no
+    quarter pays for decoding them) and counts the header texts written."""
+    tap, build, write = {"payloads": [], "headers": 0}, sim.build_gossip_payload, Branch.header_text
 
-    def counted(*args):
+    def built(*args):
         payload = build(*args)
-        total[0] += len(payload)
+        tap["payloads"].append(payload)
         return payload
 
-    sim.build_gossip_payload = counted
-    return total
+    def written(branch):
+        tap["headers"] += 1
+        return write(branch)
+
+    sim.build_gossip_payload, Branch.header_text = built, written
+    return tap
 
 
 def run_by_quarters(seed: int, events: int) -> tuple:
@@ -57,11 +66,16 @@ def main():
                         help="run twice and compare transcript hashes")
     args = parser.parse_args()
 
-    payload_bytes = count_payload_bytes()
+    tap = tap_gossip()
     start = time.perf_counter()
     run, rates = run_by_quarters(args.seed, args.events)
     elapsed = time.perf_counter() - start
-    gossip_bytes = payload_bytes[0]
+    payloads, tap["payloads"], headers_written = tap["payloads"], [], tap["headers"]
+    gossip_bytes, shipped, unique = sum(map(len, payloads)), 0, set()
+    for payload in payloads:
+        records = canonical_decode(payload)[4]
+        shipped += len(records)
+        unique.update(records)
     heads = {name: peer.state.branches[run.core_id].stable_head.hex[:12]
              for name, peer in run.world.peers.items()
              if run.core_id in peer.state.branches}
@@ -70,7 +84,9 @@ def main():
     print(f"prefix violations: {len(run.violations)}")
     print(f"peers converged: {converged}  heads: {heads}")
     print(f"lignification decisions: {len(run.world.decision_log)}")
-    print(f"gossip payload bytes per event: {gossip_bytes / len(run.world.transcript):.0f}")
+    print(f"gossip payload bytes per event: {gossip_bytes / len(run.world.transcript):.0f}  "
+          f"records shipped per unique record: {shipped / max(len(unique), 1):.2f}  "
+          f"header texts written: {headers_written}")
     print("events per CPU second by quarter: " + " ".join(f"{rate:.0f}" for rate in rates))
     print(f"transcript hash: {run.world.transcript_hash()}")
     print(f"state digest: {state_digest(run.world)}")

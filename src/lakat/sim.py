@@ -4,7 +4,11 @@ Peers hold independent protocol states and exchange two event kinds:
 gossiped branch state and branch requests routed to contributors.  A gossip
 payload is ``[b"gossip", headers, wraps, proofs, records, ousted, spent]``;
 one `Shipped` entry per receiver keeps what the sender has already sent it
-(store cursor, proofs, spent ids, ousted pairs), so each of those ships once.
+(store cursor, a proof count per branch, spent ids, ousted pairs), so each of
+those ships once, and the records the receiver sent since (echo), which it
+holds and so never gets back.  A peer writes each branch's header text once
+per change of its fingerprint (`Peer.headers`), whatever the number of
+receivers, and adoption compares chain lengths from the store's depth memo.
 Join/leave schedule entries are events in the same queue; a join drops the
 marks between the joiner and each online peer and syncs both ways.  Events
 order by their own fields, never by their payload (see SimEvent), so a run is
@@ -18,13 +22,14 @@ import heapq
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .codec import CodecError, ContentId, LakatError, LogicalTimestamp, canonical_decode, canonical_encode
 from .identity import ContributionProof, KeyIdentity
 from .branch import Branch, BranchError, IntegrityError, ancestry, branch_header_from_json
 from .lignify import SproutWrap, selection_tree
 from .state import ProtocolState
-from .store import MemoryStore, MissingRecord
+from .store import MemoryStore, MissingRecord, Store
 
 GOSSIP, BRANCH_REQUEST, SCENARIO_ACTION = "gossip_state", "branch_request", "scenario_action"
 AVAILABILITY = "availability"  # a schedule entry, logged as "schedule": it applies before messages due that tick
@@ -59,12 +64,16 @@ class SimEvent:
 
 @dataclass
 class Shipped:
-    """What a peer has shipped to one receiver: its store cursor, and the
-    proofs, spent ids and (sprout, reference) ousted pairs sent."""
+    """What a peer has shipped to one receiver: its store cursor, the number
+    of proofs sent per branch (a cursor into the append-only proof dict), and
+    the spent ids and (sprout, reference) ousted pairs sent.  echo holds the
+    ids of records the receiver sent this peer since the last payload to it:
+    the receiver holds them, so the next payload leaves them out."""
     records: int = 0
-    proofs: set = field(default_factory=set)
+    proofs: dict = field(default_factory=dict)  # branch -> proofs sent
     spent: set = field(default_factory=set)
     ousted: set = field(default_factory=set)
+    echo: set = field(default_factory=set)
 
 
 class Peer:
@@ -75,6 +84,7 @@ class Peer:
         self.state = ProtocolState(MemoryStore())
         self.last_gossiped: dict[ContentId, tuple] = {}
         self.shipped: dict[str, Shipped] = {}  # receiver -> what it has been sent
+        self.headers: dict[ContentId, tuple] = {}  # branch -> (fingerprint, header text) last written
         self.pending_headers: dict[str, str] = {}  # header key -> header text awaiting records
 
 
@@ -162,7 +172,7 @@ class World:
             return True
         self.log(event.deliver_tick, event.kind, event.src, event.dst, event.summary)
         if event.kind == GOSSIP:
-            receive_gossip(self, dst, event.payload)
+            receive_gossip(self, dst, event.payload, event.src)
         elif event.kind == BRANCH_REQUEST:
             receive_branch_request(self, dst, event.payload)
         return True
@@ -218,7 +228,8 @@ def build_gossip_payload(peer: Peer, branch_id: ContentId, receiver: str) -> byt
     """Branch gossip, ``[b"gossip", headers, wraps, proofs, records, ousted,
     spent]``: the header (plus the headers of its live sprout tree), wrap
     records, and what the receiver has not been sent yet: proofs, the store
-    suffix, and the spent ids and ousted pairs, as ContentId values.
+    suffix less the records it sent us since, and the spent ids and ousted
+    pairs, as ContentId values.
 
     The receiver buffers any header it cannot yet resolve, so thinning the
     payload never loses state.
@@ -228,14 +239,15 @@ def build_gossip_payload(peer: Peer, branch_id: ContentId, receiver: str) -> byt
     for _, entry in selection_tree(state, state.branches[branch_id]):
         if entry.sprout in state.branches:
             tree.setdefault(entry.sprout)
-    headers = [state.branches[cid].header_text() for cid in tree]
+    headers = [_header_text(peer, state.branches[cid]) for cid in tree]
     wraps = sorted((state.wraps[cid] for cid in tree if cid in state.wraps), key=lambda w: w.sprout)
     sent = peer.shipped.setdefault(receiver, Shipped())
-    order = state.store.ids()
-    records = [state.store.get(cid) for cid in order[sent.records:]]
-    sent.records = len(order)
-    proofs = [p for p in state.proofs.get(branch_id, ()) if p not in sent.proofs]
-    sent.proofs.update(proofs)
+    order, echo = state.store.ids(), sent.echo
+    records = [state.store.get(cid) for cid in order[sent.records:] if cid not in echo]
+    sent.records, sent.echo = len(order), set()
+    held = state.proofs.get(branch_id, {})
+    proofs = list(islice(held, sent.proofs.get(branch_id, 0), None))
+    sent.proofs[branch_id] = len(held)
     ousted = sorted(state.ousted.items() - sent.ousted)
     sent.ousted.update(ousted)
     # spent only grows, so what was sent is a subset and equal sizes mean nothing new
@@ -244,8 +256,18 @@ def build_gossip_payload(peer: Peer, branch_id: ContentId, receiver: str) -> byt
     return canonical_encode([b"gossip", headers, wraps, proofs, records, ousted, spent])
 
 
-def receive_gossip(world: World, peer: Peer, payload: bytes):
-    """Apply a gossip payload; one that is not the gossip list raises SimError before any of it applies."""
+def _header_text(peer: Peer, branch: Branch) -> str:
+    """The branch's header text, written again only when its fingerprint moved."""
+    print_ = branch.fingerprint()
+    memo = peer.headers.get(branch.branch_id)
+    if memo is None or memo[0] != print_:
+        memo = peer.headers[branch.branch_id] = (print_, branch.header_text())
+    return memo[1]
+
+
+def receive_gossip(world: World, peer: Peer, payload: bytes, sender: str):
+    """Apply a gossip payload, noting its records as held by sender; one that
+    is not the gossip list raises SimError before any of it applies."""
     state = peer.state
     try:
         tag, headers, wraps, proofs, records, ousted, spent = canonical_decode(payload)
@@ -257,8 +279,8 @@ def receive_gossip(world: World, peer: Peer, payload: bytes):
         raise SimError(f"malformed gossip payload: {exc}") from exc
     if not wellformed:
         raise SimError("malformed gossip payload: a field of the wrong type")
-    for record in records:
-        state.store.put(record)
+    held = [state.store.put(record) for record in records]
+    peer.shipped.setdefault(sender, Shipped()).echo.update(held)
     for wrap in wraps:
         if isinstance(wrap, SproutWrap):
             state.wraps.setdefault(wrap.sprout, wrap)
@@ -287,9 +309,10 @@ def receive_gossip(world: World, peer: Peer, payload: bytes):
 def adopt_header(state: ProtocolState, header_text: str) -> tuple[bool, str | None]:
     """Join a remote branch header into the local state.
 
-    Equal heads union their consensus entries; a remote head that extends the
-    local chain is adopted wholesale; divergent twig heads resolve to the
-    longer chain (then larger head id).  Returns (changed, waiting): for a
+    Equal heads union their consensus entries; otherwise the head of the
+    longer chain wins, then the larger head id, and is adopted wholesale: a
+    remote head that extends the local chain always wins, and a stale one (an
+    ancestor of the local head) never does.  Returns (changed, waiting): for a
     header whose chain down to the singularity misses a record, waiting is
     the key (branch id and head in hex) to hold it under until the record
     arrives, else None.  A header that does not read or can never resolve (a
@@ -303,19 +326,19 @@ def adopt_header(state: ProtocolState, header_text: str) -> tuple[bool, str | No
     if remote.stable_head.is_null():
         return False, None
     local = state.branches.get(remote.branch_id)
-    # a local chain always resolves, so the walk may stop at the local head
-    stop = () if local is None else (local.stable_head,)
-    try:
-        remote_chain = list(ancestry(state.store, remote.stable_head, stop))
-    except MissingRecord:
-        return False, remote.branch_id.hex + remote.stable_head.hex
-    except (IntegrityError, CodecError):
-        return False, None
+    same = local is not None and local.stable_head == remote.stable_head
+    if not same:  # equal heads need no walk
+        try:
+            depth = _chain_depth(state.store, remote.stable_head)
+        except MissingRecord:
+            return False, remote.branch_id.hex + remote.stable_head.hex
+        except (IntegrityError, CodecError):
+            return False, None
     if local is None:
         state.add_branch(remote)
         return True, None
     before = local.fingerprint()
-    if local.stable_head == remote.stable_head:
+    if same:
         for entry in remote.sprout_selection:
             local.add_signals(entry.sprout, entry.vetoes, entry.votes)
         local.sprouts |= remote.sprouts
@@ -328,17 +351,24 @@ def adopt_header(state: ProtocolState, header_text: str) -> tuple[bool, str | No
             local.config = remote.config
         elif local.config != remote.config:  # the config with the lesser JSON text
             local.config = min(local.config, remote.config, key=lambda c: json.dumps(c.to_json(), sort_keys=True))
-    elif remote_chain[-1][1].parent == local.stable_head:  # the walk stopped at the local head
+    elif (depth, remote.stable_head) > (_chain_depth(state.store, local.stable_head), local.stable_head):
         _adopt_fields(local, remote)
-    else:
-        local_chain = list(ancestry(state.store, local.stable_head, (remote.stable_head,)))
-        stale = local_chain[-1][1].parent == remote.stable_head
-        if not stale and (len(remote_chain), remote.stable_head) > (len(local_chain), local.stable_head):
-            _adopt_fields(local, remote)
     changed = local.fingerprint() != before
     if changed:
         state.touch(local.branch_id)
     return changed, None
+
+
+def _chain_depth(store: Store, head: ContentId) -> int:
+    """The number of submits from head down to the singularity.  The walk
+    stops at the first submit in the store's depth memo and records those it
+    passed; it raises as ancestry does, and then records nothing."""
+    memo = store.depth
+    chain = list(ancestry(store, head, memo))
+    base = memo[chain[-1][1].parent if chain else head]
+    for depth, (cid, _) in enumerate(reversed(chain), base + 1):
+        memo[cid] = depth
+    return memo[head]
 
 
 def _adopt_fields(local: Branch, remote: Branch):

@@ -37,7 +37,9 @@ class Store:
     - merge_index: submit -> belts merged in its inclusion closure and the
       (target, requesting) pairs of its pull requests;
     - verified: submits whose chain down to the singularity passed
-      verify_branch's per-submit checks."""
+      verify_branch's per-submit checks;
+    - depth: submit -> the number of submits in its chain down to the
+      singularity, kept only for chains that resolved (sim._chain_depth)."""
 
     def __init__(self):
         self._decoded: dict[ContentId, object] = {}
@@ -46,6 +48,7 @@ class Store:
         self.attestations: dict[ContentId, frozenset] = {}
         self.merge_index: dict[ContentId, tuple[tuple, frozenset]] = {NULL_ID: ((), frozenset())}
         self.verified: set[ContentId] = set()
+        self.depth: dict[ContentId, int] = {NULL_ID: 0}
 
     def put_object(self, value) -> ContentId:
         return self.put(canonical_encode(value))

@@ -2,22 +2,24 @@ import heapq
 import json
 import os
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 import lakat.sim as sim
 from lakat.bucket import create_atomic_bucket
-from lakat.codec import NULL_ID, canonical_decode, canonical_encode, content_id
-from lakat.identity import make_contribution_proof
-from lakat.branch import get_submit
+from lakat.codec import NULL_ID, CodecError, canonical_decode, canonical_encode, content_id
+from lakat.identity import KeyIdentity, make_contribution_proof
+from lakat.branch import Branch, BranchError, IntegrityError, ancestry, branch_header_from_json, get_submit
 from lakat.ops import create_genesis_branch, create_rooted_branch
 from lakat.review import twig_push
 from lakat.scenario import Runner, parse_scenario
 from lakat.sim import BRANCH_REQUEST, GOSSIP, SimConfig, SimError, SimEvent, World, receive_gossip, route_request
 from lakat.state import build_content_submit
-from lakat.store import MemoryStore
-from conftest import proper_config, twig_config
-from fuzz_driver import FuzzRun
+from lakat.state import ProtocolState
+from lakat.store import MemoryStore, MissingRecord
+from conftest import proper_config, tick, twig_config
+from fuzz_driver import FuzzRun, churn_schedule
 
 
 def make_world(peers=("p1", "p2", "p3"), seed=0, latency=("fixed", 1), schedule=()):
@@ -266,21 +268,21 @@ def test_header_that_can_never_resolve_is_dropped():
             data["branch_id"] = branch_id.hex
             data["stable_head"] = head.hex
             header = json.dumps(data, sort_keys=True)
-            receive_gossip(world, p2, gossip_payload([header], records))
+            receive_gossip(world, p2, gossip_payload([header], records), "p1")
             assert p2.state.branches[branch.branch_id].stable_head == held
             assert unknown not in p2.state.branches
             assert branch_id.hex + head.hex not in p2.pending_headers
     for header in ("{}", '{"branch_id": 5}', "not json"):
-        receive_gossip(world, p2, gossip_payload([header]))
+        receive_gossip(world, p2, gossip_payload([header]), "p1")
         assert p2.state.branches[branch.branch_id].stable_head == held and not p2.pending_headers
     for payload in (canonical_encode([b"gossip", []]), gossip_payload([5]), gossip_payload(records=["record"]),
                     gossip_payload(spent=["zz"]), canonical_encode(b"gossip"),
                     gossip_payload(spent=[branch.branch_id.hex]), gossip_payload(ousted=[[branch.branch_id]]),
                     gossip_payload(spent=branch.branch_id)):
         with pytest.raises(SimError):
-            receive_gossip(world, p2, payload)
+            receive_gossip(world, p2, payload, "p1")
     with pytest.raises(SimError):
-        receive_gossip(world, p2, b"\xff")
+        receive_gossip(world, p2, b"\xff", "p1")
     assert len(p2.state.contributors(branch.branch_id).all_keys()) == 1
 
 
@@ -293,11 +295,11 @@ def test_header_waits_for_its_records_then_is_adopted():
     head = push_on(world, "p1", branch.branch_id, p1.identity, b"late")
     header = p1.state.branches[branch.branch_id].header_text()
     key = branch.branch_id.hex + head.hex
-    receive_gossip(world, p2, gossip_payload([header]))
+    receive_gossip(world, p2, gossip_payload([header]), "p1")
     assert p2.pending_headers == {key: header}
     assert p2.state.branches[branch.branch_id].stable_head != head
     missing = [p1.state.store.get(cid) for cid in p1.state.store.ids() if cid not in held]
-    receive_gossip(world, p2, gossip_payload(records=missing))
+    receive_gossip(world, p2, gossip_payload(records=missing), "p1")
     assert not p2.pending_headers
     assert p2.state.branches[branch.branch_id].stable_head == head
 
@@ -478,3 +480,301 @@ def test_a_join_ships_the_joiner_every_spent_id_again(monkeypatch):
     [(joiner, held, sent)] = syncs
     for src in ("p1", "p3"):
         assert held[src] and {cid for s, dst, _, ids in sent if (s, dst) == (src, joiner) for cid in ids} == held[src]
+
+
+class GossipTap:
+    """Records, through one run, every gossip payload built (sender,
+    receiver, record ids, proofs) and received (receiver, sender, record ids)
+    in the order they happened, every header text written (the branch object
+    and its fingerprint), the submits sim's walks yield, and each adoption
+    beside the reference rule's verdict on the same state."""
+
+    def __init__(self, mp):
+        self.events, self.writes, self.adoptions, self.walked = [], [], [], 0
+        build, receive, adopt, walk, write = (sim.build_gossip_payload, sim.receive_gossip, sim.adopt_header,
+                                              sim.ancestry, Branch.header_text)
+
+        def built(peer, branch_id, receiver):
+            payload = build(peer, branch_id, receiver)
+            _, _, _, proofs, records = canonical_decode(payload)[:5]
+            self.events.append(("build", peer.name, receiver, [content_id(r) for r in records], proofs))
+            return payload
+
+        def received(world, peer, payload, sender):
+            records = canonical_decode(payload)[4]
+            self.events.append(("receive", peer.name, sender, [content_id(r) for r in records], []))
+            return receive(world, peer, payload, sender)
+
+        def adopted(state, header_text):
+            expected, reference, case = reference_adopt(state.store, state.branches, header_text)
+            got = adopt(state, header_text)
+            after = None if reference is None else state.branches.get(reference.branch_id)
+            self.adoptions.append((case, got == expected and _print(after) == _print(reference)))
+            return got
+
+        def walking(*args):
+            for step in walk(*args):
+                self.walked += 1
+                yield step
+
+        def written(branch):
+            self.writes.append((branch, branch.fingerprint()))
+            return write(branch)
+
+        for owner, name, wrapper in ((sim, "build_gossip_payload", built), (sim, "receive_gossip", received),
+                                     (sim, "adopt_header", adopted), (sim, "ancestry", walking),
+                                     (Branch, "header_text", written)):
+            mp.setattr(owner, name, wrapper)
+
+
+def _print(branch):
+    return None if branch is None else branch.fingerprint()
+
+
+def reference_adopt(store, branches, header_text):
+    """adopt_header's rule as it was before chain lengths were memoised: walk
+    the remote chain down to the local head or the singularity, and for a
+    head that does not extend the local one walk the local chain too.  Works
+    on a copy of the local branch, so it changes nothing; returns ((changed,
+    waiting), the branch as it would be afterwards, the case taken)."""
+    try:
+        remote = branch_header_from_json(json.loads(header_text))
+    except (ValueError, BranchError):
+        return (False, None), None, "ignored"
+    local = branches.get(remote.branch_id)
+    if local is not None:
+        local = replace(local, sprouts=set(local.sprouts), sprout_selection=list(local.sprout_selection),
+                        branch_token=list(local.branch_token))
+    if remote.stable_head.is_null():
+        return (False, None), local, "ignored"
+    stop = () if local is None else (local.stable_head,)
+    try:
+        remote_chain = list(ancestry(store, remote.stable_head, stop))
+    except MissingRecord:
+        return (False, remote.branch_id.hex + remote.stable_head.hex), local, "waiting"
+    except (IntegrityError, CodecError):
+        return (False, None), local, "ignored"
+    if local is None:
+        return (True, None), remote, "new"
+    before = local.fingerprint()
+    if local.stable_head == remote.stable_head:
+        case = "equal"
+        for entry in remote.sprout_selection:
+            local.add_signals(entry.sprout, entry.vetoes, entry.votes)
+        local.sprouts |= remote.sprouts
+        for token in remote.branch_token:
+            if token not in local.branch_token:
+                local.branch_token.append(token)
+        local.stale = local.stale or remote.stale
+        if local.parent_branch.is_null() and not remote.parent_branch.is_null():
+            local.parent_branch = remote.parent_branch
+            local.config = remote.config
+        elif local.config != remote.config:
+            local.config = min(local.config, remote.config, key=lambda c: json.dumps(c.to_json(), sort_keys=True))
+    elif remote_chain[-1][1].parent == local.stable_head:
+        case = "extend"
+        sim._adopt_fields(local, remote)
+    else:
+        local_chain = list(ancestry(store, local.stable_head, (remote.stable_head,)))
+        case = "stale" if local_chain[-1][1].parent == remote.stable_head else "diverged"
+        if case == "diverged" and (len(remote_chain), remote.stable_head) > (len(local_chain), local.stable_head):
+            sim._adopt_fields(local, remote)
+    return (local.fingerprint() != before, None), local, case
+
+
+@pytest.fixture(scope="module")
+def tapped():
+    """FuzzRun(42) at 3,000 events, and churn seed 3 at 1,500, each tapped."""
+    runs = {}
+    for name, run, events in (("fuzz", FuzzRun(42), 3_000), ("churn", FuzzRun(3, churn_schedule(3)), 1_500)):
+        with pytest.MonkeyPatch.context() as mp:
+            tap = GossipTap(mp)
+            run.run(events)
+        runs[name] = run, tap
+    return runs
+
+
+@pytest.mark.parametrize("name", ["fuzz", "churn"])
+def test_every_adoption_matches_the_walk_rule_it_replaced(tapped, name):
+    """Same (changed, waiting) and same branch afterwards as the reference
+    rule, for every adoption of the run; and each walk passes a submit about
+    once per peer (exactly once without churn, where no header waits)."""
+    run, tap = tapped[name]
+    assert tap.adoptions and all(same for _, same in tap.adoptions)
+    cases = {case for case, _ in tap.adoptions}
+    assert {"new", "equal", "extend"} <= cases and (name == "fuzz" or {"stale", "waiting"} <= cases)
+    submits = sum(len(peer.state.store.depth) - 1 for peer in run.world.peers.values())
+    assert tap.walked == submits if name == "fuzz" else submits <= tap.walked <= 1.05 * submits
+
+
+@pytest.mark.parametrize("pushes", [(1, 1), (2, 1), (1, 3)])
+def test_divergent_twig_pushes_adopt_as_the_walk_rule_did(monkeypatch, pushes):
+    tap = GossipTap(monkeypatch)
+    world = make_world(peers=("p1", "p2"))
+    p1, p2 = world.peers["p1"], world.peers["p2"]
+    branch = create_on(world, "p1")
+    world.run_until_quiescent()
+    for peer in (p1, p2):
+        peer.state.add_proof(make_contribution_proof(p2.identity, branch.branch_id, "content", branch.initial_head))
+    tips = []
+    for peer, count in zip((p1, p2), pushes):
+        for n in range(count):
+            head = push_on(world, peer.name, branch.branch_id, peer.identity, b"%s %d" % (peer.name.encode(), n))
+        tips.append((count, head))
+    world.run_until_quiescent()
+    assert "diverged" in {case for case, _ in tap.adoptions} and all(same for _, same in tap.adoptions)
+    assert {peer.state.branches[branch.branch_id].stable_head for peer in (p1, p2)} == {max(tips)[1]}
+
+
+def test_no_payload_carries_a_record_back_to_the_peer_it_came_from(tapped):
+    run, tap = tapped["fuzz"]
+    since, received, echoed = {}, 0, 0  # (peer, other) -> ids peer got from other since its last payload to other
+    for kind, peer, other, ids, _ in tap.events:
+        if kind == "receive":
+            since.setdefault((peer, other), set()).update(ids)
+            received += len(ids)
+        else:
+            echoed += len(since.pop((peer, other), set()).intersection(ids))
+    assert received and not echoed
+
+
+def test_each_record_ships_once_to_each_peer_that_lacks_it_and_once_onward(tapped):
+    """Without churn every record ships (n - 1)**2 times: from its origin to
+    each other peer, and from each of those to the peers but the origin."""
+    run, tap = tapped["fuzz"]
+    sends = Counter(cid for kind, _, _, ids, _ in tap.events if kind == "build" for cid in ids)
+    stores = [set(peer.state.store.ids()) for peer in run.world.peers.values()]
+    assert stores.count(stores[0]) == 3 and set(sends) == stores[0]
+    assert set(sends.values()) == {(len(stores) - 1) ** 2}
+
+
+def test_each_proof_ships_once_per_ordered_pair(tapped):
+    run, tap = tapped["fuzz"]
+    proofs = [{proof for held in peer.state.proofs.values() for proof in held} for peer in run.world.peers.values()]
+    assert proofs[0] and proofs.count(proofs[0]) == 3
+    sends = Counter((src, dst, proof) for kind, src, dst, _, shipped in tap.events if kind == "build"
+                    for proof in shipped)
+    assert set(sends.values()) == {1}
+    assert {proof for _, _, proof in sends} == proofs[0]
+    assert len(sends) == 6 * len(proofs[0])
+
+
+@pytest.mark.parametrize("name", ["fuzz", "churn"])
+def test_each_header_text_is_written_once_per_peer_branch_and_fingerprint(tapped, name):
+    run, tap = tapped[name]
+    owner = {id(branch): name for name, peer in run.world.peers.items() for branch in peer.state.branches.values()}
+    writes = Counter((owner[id(branch)], branch.branch_id, print_) for branch, print_ in tap.writes)
+    assert writes and set(writes.values()) == {1}
+
+
+# -- adoption by chain length -----------------------------------------------------
+
+
+@pytest.fixture
+def adoption(monkeypatch):
+    """A state holding one twig at its genesis submit, and the list of ids sim's walks yield."""
+    state = ProtocolState(MemoryStore())
+    branch = create_genesis_branch(state, twig_config(), KeyIdentity.from_seed(b"adopter"), tick(0))
+    walked, walk = [], sim.ancestry
+
+    def counted(*args):
+        for step in walk(*args):
+            walked.append(step[0])
+            yield step
+
+    monkeypatch.setattr(sim, "ancestry", counted)
+    return state, branch, walked
+
+
+def grow(state, branch, parent, tag, length, skip=()):
+    """length submits on parent (copies of the branch's first submit), oldest
+    first; the store gets all but those whose index is in skip."""
+    base, ids = get_submit(state.store, branch.initial_head), []
+    for n in range(length):
+        data = canonical_encode(replace(base, parent=parent, submit_message=f"{tag} {n}"))
+        parent = content_id(data)
+        if n not in skip:
+            state.store.put(data)
+        ids.append(parent)
+    return ids
+
+
+def offer(state, branch, head):
+    """adopt_header of the branch's header moved to head, checked against the reference rule."""
+    data = branch.header_json()
+    data["stable_head"] = head.hex
+    text = json.dumps(data, sort_keys=True)
+    expected, after, _ = reference_adopt(state.store, state.branches, text)
+    got = sim.adopt_header(state, text)
+    assert got == expected and branch.fingerprint() == after.fingerprint()
+    return got
+
+
+def test_equal_heads_adopt_without_a_walk(adoption):
+    """The reference rule walks with branch.ancestry, which the fixture does not count."""
+    state, branch, walked = adoption
+    assert offer(state, branch, branch.stable_head) == (False, None)
+    assert walked == []
+
+
+def test_an_extension_by_several_submits_walks_only_the_new_ones(adoption):
+    state, branch, walked = adoption
+    genesis = branch.stable_head
+    first = grow(state, branch, genesis, "a", 3)
+    assert offer(state, branch, first[-1]) == (True, None)
+    assert branch.stable_head == first[-1] and walked == first[::-1] + [genesis]
+    assert [state.store.depth[cid] for cid in [genesis] + first] == [1, 2, 3, 4]
+    second = grow(state, branch, first[-1], "b", 2)
+    walked.clear()
+    assert offer(state, branch, second[-1]) == (True, None)
+    assert branch.stable_head == second[-1] and walked == second[::-1]
+
+
+def test_a_stale_header_changes_nothing_and_walks_nothing(adoption):
+    state, branch, walked = adoption
+    chain = [branch.stable_head] + grow(state, branch, branch.stable_head, "a", 3)
+    assert offer(state, branch, chain[-1]) == (True, None)
+    held = branch.fingerprint()
+    walked.clear()
+    for head in chain[:-1]:
+        assert offer(state, branch, head) == (False, None)
+    assert branch.fingerprint() == held and walked == []
+
+
+def test_diverged_heads_resolve_to_the_longer_chain_then_the_larger_head_id(adoption):
+    state, branch, _ = adoption
+    fork = branch.stable_head
+    ours = grow(state, branch, fork, "ours", 2)[-1]
+    assert offer(state, branch, ours) == (True, None)
+    shorter = grow(state, branch, fork, "short", 1)[-1]
+    assert offer(state, branch, shorter) == (False, None)
+    rivals = [grow(state, branch, fork, tag, 2)[-1] for tag in ("x", "j", "y")]  # as long as ours
+    assert min(rivals) < ours < max(rivals)  # so the head id decides both ways
+    for rival in rivals:
+        held = branch.stable_head
+        assert offer(state, branch, rival) == (rival > held, None)
+    assert branch.stable_head == max([ours] + rivals)
+    for head in sorted([ours] + rivals)[:-1]:
+        assert offer(state, branch, head) == (False, None)
+    longer = grow(state, branch, shorter, "long", 2)[-1]
+    assert offer(state, branch, longer) == (True, None) and branch.stable_head == longer
+
+
+def test_a_header_missing_a_record_mid_chain_waits_and_records_no_depth(adoption):
+    state, branch, _ = adoption
+    chain = grow(state, branch, branch.stable_head, "a", 3, skip=(1,))
+    assert offer(state, branch, chain[-1]) == (False, branch.branch_id.hex + chain[-1].hex)
+    assert not set(chain) & set(state.store.depth)
+    grow(state, branch, branch.stable_head, "a", 3)
+    assert offer(state, branch, chain[-1]) == (True, None) and branch.stable_head == chain[-1]
+
+
+def test_a_cycle_or_a_record_that_is_no_submit_is_ignored(adoption):
+    state, branch, _ = adoption
+    loop = content_id(b"loop")
+    state.store.put(canonical_encode(replace(get_submit(state.store, branch.initial_head), parent=loop)), loop)
+    bad = [loop, state.store.put(canonical_encode("not a submit")), state.store.put(b"\xff")]
+    tops = [grow(state, branch, under, "on", 2)[-1] for under in bad]
+    for head in bad + tops:
+        assert offer(state, branch, head) == (False, None)
+    assert branch.stable_head == branch.initial_head and not set(bad + tops) & set(state.store.depth)
