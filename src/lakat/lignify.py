@@ -122,16 +122,7 @@ def wrap_merge_in_sprout(
         core = rooting
     else:
         raise InvalidRooting("merge submits wrap onto proper branches or their sprouts")
-    sprout_config = replace(core.config, branch_type=SPROUT)
-    sprout = Branch(
-        branch_id=branch_id,
-        parent_branch=NULL_ID,
-        timestamp=now,
-        initial_head=merge_submit,
-        stable_head=merge_submit,
-        config=sprout_config,
-    )
-    state.add_branch(sprout)
+    state.found(NULL_ID, now, merge_submit, replace(core.config, branch_type=SPROUT))
     rooting.sprout_selection.append(SelectionEntry(branch_id))
     core.sprouts.add(branch_id)
     state.touch(rooted_at, core.branch_id)

@@ -24,7 +24,6 @@ from .branch import (
     SubmitTrace,
     ancestry,
     closure,
-    compute_branch_id,
     conflict_records,
     get_submit,
     in_closure,
@@ -75,22 +74,11 @@ def create_genesis_branch(
     store = state.store
     if message is None:
         message = f"genesis:{creator.public_key.hex()[:16]}"
-    empty = trie_mod.empty_trie(store)
-    singularity = Submit(NULL_ID, message, empty.root, SubmitTrace(), now)
-    head = store.put_object(singularity)
-    branch_id = compute_branch_id(NULL_ID, now, head)
-    branch = Branch(
-        branch_id=branch_id,
-        parent_branch=NULL_ID,
-        timestamp=now,
-        initial_head=head,
-        stable_head=head,
-        config=config,
-    )
+    head = store.put_object(Submit(NULL_ID, message, trie_mod.empty_trie(store).root, SubmitTrace(), now))
+    branch = state.found(NULL_ID, now, head, config)
     if token_attestation is not None:
         branch.branch_token.append(token_attestation)
-    state.add_branch(branch)
-    state.add_proof(make_contribution_proof(creator, branch_id, "content", head))
+    state.add_proof(make_contribution_proof(creator, branch.branch_id, "content", head))
     return branch
 
 
@@ -101,35 +89,22 @@ def create_rooted_branch(
     creator: KeyIdentity,
     now: LogicalTimestamp,
     config: BranchConfig | None = None,
-    message: str | None = None,
 ) -> Branch:
     """Derive a branch from a submit in the parent's history.  Anyone may do
     this; the config is inherited unless replaced."""
     parent = state.branches.get(parent_branch)
     if parent is None:
         raise InvalidRoot(f"unknown parent branch {parent_branch.hex}")
-    if message is None:
-        message = f"rooted:{creator.public_key.hex()[:16]}"
     if not in_closure(state.store, parent.stable_head, root_submit):
         raise InvalidRoot("root submit is not in the parent branch history")
     branch_config = config if config is not None else parent.config
     if branch_config.branch_type == SPROUT:
         raise InvalidBranchType("rooted creations are twigs or proper branches")
-    store = state.store
-    root = get_submit(store, root_submit)
-    initial = Submit(root_submit, message, root.trie_root, SubmitTrace(), now)
-    head = store.put_object(initial)
-    branch_id = compute_branch_id(parent_branch, now, head)
-    branch = Branch(
-        branch_id=branch_id,
-        parent_branch=parent_branch,
-        timestamp=now,
-        initial_head=head,
-        stable_head=head,
-        config=branch_config,
-    )
-    state.add_branch(branch)
-    state.add_proof(make_contribution_proof(creator, branch_id, "content", head))
+    message = f"rooted:{creator.public_key.hex()[:16]}"
+    root = get_submit(state.store, root_submit)
+    head = state.store.put_object(Submit(root_submit, message, root.trie_root, SubmitTrace(), now))
+    branch = state.found(parent_branch, now, head, branch_config)
+    state.add_proof(make_contribution_proof(creator, branch.branch_id, "content", head))
     return branch
 
 
@@ -183,7 +158,6 @@ def execute_merge(
     author: KeyIdentity,
     now: LogicalTimestamp,
     approvals: set[bytes] | None = None,
-    message: str = "merge",
 ) -> Submit:
     """Build and apply the merge submit from the plan's heads and delta.
 
@@ -234,7 +208,7 @@ def execute_merge(
         belt_tip=plan.belt_tip,
         new_buckets=tuple(incoming),
     )
-    merge_submit = Submit(plan.base_head, message, new_trie.root, trace, now)
+    merge_submit = Submit(plan.base_head, "merge", new_trie.root, trace, now)
 
     if core.branch_type == TWIG:
         counted = approvals if approvals is not None else {author.public_key}

@@ -1,4 +1,6 @@
-"""Per-branch staging area: eight bounded, ephemeral request channels."""
+"""Per-branch staging area: eight bounded, ephemeral request channels.  A
+peer builds a branch's channels when the first request for it arrives
+(ProtocolState.requests_for), so a branch no request reached holds none."""
 
 from __future__ import annotations
 
@@ -39,24 +41,21 @@ class BranchRequests:
         self.capacities = {name: capacity for name in CHANNELS}
         self.channels: dict[str, deque] = {name: deque() for name in CHANNELS}
 
-    def enqueue(self, channel: str, payload) -> EnqueueVerdict:
+    def _queue(self, channel: str) -> deque:
         if channel not in CHANNELS:
             raise UnknownChannel(channel)
-        queue = self.channels[channel]
+        return self.channels[channel]
+
+    def enqueue(self, channel: str, payload) -> EnqueueVerdict:
+        queue = self._queue(channel)
         if len(queue) >= self.capacities[channel]:
             return EnqueueVerdict(False, "capacity-rejected")
         queue.append(payload)
         return EnqueueVerdict(True)
 
     def dequeue(self, channel: str):
-        if channel not in CHANNELS:
-            raise UnknownChannel(channel)
-        queue = self.channels[channel]
-        if not queue:
-            return None
-        return queue.popleft()
+        queue = self._queue(channel)
+        return queue.popleft() if queue else None
 
     def size(self, channel: str) -> int:
-        if channel not in CHANNELS:
-            raise UnknownChannel(channel)
-        return len(self.channels[channel])
+        return len(self._queue(channel))

@@ -29,7 +29,7 @@ from .branch import (
     verify_branch,
 )
 from .lignify import lignify, register_veto, cast_vote, wrap_merge_in_sprout
-from .ops import create_genesis_branch, create_rooted_branch, execute_merge, plan_merge
+from .ops import bucket_set, create_genesis_branch, create_rooted_branch, execute_merge, plan_merge
 from .review import PullRequest, commit_review, create_pull_request, submit_review, twig_push
 from .sim import SimConfig, World, route_request
 from .state import ProtocolState, build_content_submit
@@ -411,8 +411,7 @@ class Runner:
             return present == step.get("present", True), f"present={present}"
         if that == "bucket_count":
             state, branch = self._home(step["branch"])
-            head = get_submit(state.store, branch.stable_head)
-            count = len(trie_mod.bucket_ids(trie_mod.Trie(head.trie_root, state.store)))
+            count = len(bucket_set(state, branch.branch_id))
             return count == step["equals"], f"count={count}"
         if that == "branch_verifies":
             state, branch = self._home(step["branch"])

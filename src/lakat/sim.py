@@ -28,6 +28,7 @@ from .codec import CodecError, ContentId, LakatError, LogicalTimestamp, canonica
 from .identity import ContributionProof, KeyIdentity
 from .branch import Branch, BranchError, IntegrityError, ancestry, branch_header_from_json
 from .lignify import SproutWrap, selection_tree
+from .requests import CHANNELS
 from .state import ProtocolState
 from .store import MemoryStore, MissingRecord, Store
 
@@ -108,6 +109,11 @@ class World:
                 raise SimError(f"bad schedule entry {entry!r}: needs a tick >= 0, a known peer, join or leave")
         self.queue = sorted(SimEvent(tick, AVAILABILITY, name, "-", action, 0, b"")  # a sorted list is a heap
                             for tick, name, action in config.schedule)
+        spec = config.latency
+        ints = type(spec) is tuple and all(type(x) is int for x in spec[1:])
+        fixed = ints and len(spec) == 2 and spec[0] == "fixed"
+        if not (fixed or ints and len(spec) == 3 and spec[0] == "uniform" and spec[1] <= spec[2]):
+            raise SimError(f"bad latency {spec!r}: needs ('fixed', k) or ('uniform', a, b) with integers a <= b")
 
     def register_host(self, public_key: bytes, peer_name: str):
         if peer_name not in self.peers:
@@ -121,11 +127,7 @@ class World:
 
     def _latency(self) -> int:
         spec = self.config.latency
-        if spec[0] == "fixed":
-            return max(1, spec[1])
-        if spec[0] == "uniform":
-            return max(1, self.rng.randint(spec[1], spec[2]))
-        raise SimError(f"unknown latency model {spec!r}")
+        return max(1, spec[1] if spec[0] == "fixed" else self.rng.randint(spec[1], spec[2]))
 
     # -- logging -----------------------------------------------------------
 
@@ -402,7 +404,13 @@ def route_request(world: World, src_peer: str, branch_id: ContentId, channel: st
 
 
 def receive_branch_request(world: World, peer: Peer, payload: bytes):
-    _, branch_id, channel, body = canonical_decode(payload)
+    """Stage a routed request; a payload of another shape raises SimError."""
+    try:
+        tag, branch_id, channel, body = canonical_decode(payload)
+    except (CodecError, TypeError, ValueError) as exc:
+        raise SimError(f"malformed branch request: {exc}") from exc
+    if not (tag == b"request" and type(branch_id) is ContentId and channel in CHANNELS and type(body) is bytes):
+        raise SimError("malformed branch request: a field of the wrong type")
     verdict = peer.state.requests_for(branch_id).enqueue(channel, body)
     if not verdict.accepted:
         world.log(world.tick, BRANCH_REQUEST, peer.name, peer.name, f"rejected {channel}: {verdict.reason}")

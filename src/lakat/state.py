@@ -8,7 +8,7 @@ proper branch heads move only through the lignification walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .codec import ContentId, LogicalTimestamp, NULL_ID
 from .identity import ContributionProof, KeyIdentity
@@ -23,11 +23,13 @@ from .bucket import (
 )
 from .branch import (
     Branch,
+    BranchConfig,
     ContributorSet,
     Submit,
     SubmitTrace,
     _merge_index,
     collect_evidence,
+    compute_branch_id,
     derive_contributors,
     get_submit,
 )
@@ -51,7 +53,8 @@ OK = Verdict(True)
 
 
 class ProtocolState:
-    """A peer's stores, branches, proofs, wraps, and staging channels."""
+    """A peer's stores, branches, proofs, wraps, and request channels, built
+    per branch on first use."""
 
     def __init__(self, store: Store | None = None):
         self.store: Store = store if store is not None else MemoryStore()
@@ -60,7 +63,7 @@ class ProtocolState:
         self.wraps: dict[ContentId, "object"] = {}  # sprout id -> SproutWrap
         self.ousted: dict[ContentId, ContentId] = {}  # sprout id -> reference branch
         self.spent: set[ContentId] = set()  # sprouts absorbed by donation
-        self.requests: dict[ContentId, BranchRequests] = {}
+        self.requests: dict[ContentId, BranchRequests] = {}  # built by requests_for on first use
         self.touched: set[ContentId] = set()  # branches changed since the last gossip flush
         # derived state of contributors() keyed by branch and revalidated by
         # key; what is keyed by content id is memoised in the store
@@ -68,9 +71,14 @@ class ProtocolState:
 
     # -- registration ------------------------------------------------------
 
+    def found(self, parent: ContentId, now: LogicalTimestamp, head: ContentId, config: BranchConfig) -> Branch:
+        """Register the branch named by (parent, now, head), its initial submit."""
+        branch = Branch(compute_branch_id(parent, now, head), parent, now, head, head, config)
+        self.add_branch(branch)
+        return branch
+
     def add_branch(self, branch: Branch):
         self.branches[branch.branch_id] = branch
-        self.requests.setdefault(branch.branch_id, BranchRequests())
         self.touch(branch.branch_id)
 
     def touch(self, *branch_ids: ContentId):
@@ -79,7 +87,10 @@ class ProtocolState:
         self.touched.update(branch_ids)
 
     def requests_for(self, branch_id: ContentId) -> BranchRequests:
-        return self.requests.setdefault(branch_id, BranchRequests())
+        requests = self.requests.get(branch_id)
+        if requests is None:
+            requests = self.requests[branch_id] = BranchRequests()
+        return requests
 
     def add_proof(self, proof: ContributionProof):
         self.proofs.setdefault(proof.branch_id, {}).setdefault(proof)
@@ -203,7 +214,6 @@ def build_content_submit(
     now: LogicalTimestamp,
     payloads: list[bytes] = (),
     attachments: list[tuple[ContentId, InfoDelta]] = (),
-    trace: SubmitTrace | None = None,
 ) -> Submit:
     """Assemble a submit: create buckets for each payload, wrap them in a
     fresh molecular context bucket, apply info attachments, and maintain the
@@ -231,6 +241,4 @@ def build_content_submit(
             info = fresh_info([])
         info = attach_info(info, delta)
         trie = trie_mod.insert(trie, bucket_id, info)
-    base_trace = trace if trace is not None else SubmitTrace()
-    full_trace = replace(base_trace, new_buckets=tuple(new_buckets) + tuple(base_trace.new_buckets))
-    return Submit(parent, message, trie.root, full_trace, now)
+    return Submit(parent, message, trie.root, SubmitTrace(new_buckets=tuple(new_buckets)), now)

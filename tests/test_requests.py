@@ -1,7 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lakat import trie as trie_mod
+from lakat.branch import Submit, SubmitTrace, compute_branch_id
+from lakat.codec import NULL_ID
 from lakat.requests import CHANNELS, BranchRequests, UnknownChannel
+from lakat.state import ProtocolState
+from conftest import tick, twig_config
 
 
 def test_exactly_eight_channels():
@@ -78,3 +83,23 @@ def test_capacity_never_exceeded_under_interleavings(ops):
             requests.dequeue(channel)
         for name in CHANNELS:
             assert requests.size(name) <= requests.capacities[name]
+
+
+@pytest.mark.parametrize("op", ["dequeue", "size"])
+def test_dequeue_and_size_refuse_an_unknown_channel(op):
+    with pytest.raises(UnknownChannel):
+        getattr(BranchRequests(), op)("mempool")
+
+
+def test_a_founded_branch_holds_no_channels_until_first_asked_for():
+    state = ProtocolState()
+    empty = trie_mod.empty_trie(state.store)
+    head = state.store.put_object(Submit(NULL_ID, "genesis", empty.root, SubmitTrace(), tick(3)))
+    branch = state.found(NULL_ID, tick(3), head, twig_config())
+    assert branch.branch_id == compute_branch_id(NULL_ID, tick(3), head)
+    assert branch.stable_head == branch.initial_head == head
+    assert state.branches == {branch.branch_id: branch} and branch.branch_id in state.touched
+    assert state.requests == {}
+    requests = state.requests_for(branch.branch_id)
+    assert state.requests_for(branch.branch_id) is requests
+    assert state.requests == {branch.branch_id: requests}

@@ -360,6 +360,30 @@ def test_bad_schedule_entry_refused_up_front(entry):
     assert repr(entry) in str(caught.value)
 
 
+@pytest.mark.parametrize("latency", [
+    ("uniform", 5, 2),
+    ("fixed", "1"),
+    ("fixed", True),
+    ("fixed", 1.0),
+    ("fixed",),
+    ("uniform", 1, 2, 3),
+    ("poisson", 1),
+    ["fixed", 1],
+])
+def test_bad_latency_refused_up_front(latency):
+    with pytest.raises(SimError, match="bad latency") as caught:
+        make_world(latency=latency)
+    assert repr(latency) in str(caught.value)
+
+
+@pytest.mark.parametrize("latency", [("fixed", 0), ("fixed", -4), ("uniform", -3, 0), ("uniform", 0, 0)])
+def test_latency_below_one_tick_is_clamped_to_one(latency):
+    world = make_world(latency=latency)
+    for _ in range(5):
+        world.emit(GOSSIP, "p1", "p2", b"", "probe")
+    assert {event.deliver_tick for event in world.queue} == {1}
+
+
 def tick_of(line):
     return int(line.split(" ", 1)[0])
 
@@ -423,6 +447,46 @@ def test_capacity_rejection_logged_not_crashing():
     world.run_until_quiescent()
     assert world.peers["p2"].state.requests_for(branch.branch_id).size("submit_requests") == 1
     assert any("rejected submit_requests" in line for line in world.transcript)
+
+
+@pytest.mark.parametrize("payload", [
+    canonical_encode([b"request"]),
+    b"\xff",
+    canonical_encode(5),
+    canonical_encode([b"request", b"not a content id", "submit_requests", b"x"]),
+    canonical_encode([b"gossip", content_id(b"b"), "submit_requests", b"x"]),
+    canonical_encode([b"request", content_id(b"b"), "mempool", b"x"]),
+    canonical_encode([b"request", content_id(b"b"), ["submit_requests"], b"x"]),
+    canonical_encode([b"request", content_id(b"b"), "submit_requests", "x"]),
+], ids=["short", "undecodable", "not-a-list", "raw-branch-id", "wrong-tag", "unknown-channel", "channel-list",
+        "text-body"])
+def test_malformed_branch_request_refused_before_touching_state(payload):
+    world = make_world()
+    with pytest.raises(SimError, match="malformed branch request"):
+        sim.receive_branch_request(world, world.peers["p2"], payload)
+    assert world.peers["p2"].state.requests == {}
+
+
+def test_fuzz_run_that_routes_no_request_builds_no_channels():
+    run = FuzzRun(42).run(1_500)
+    assert not any(line.split(" ")[1] == BRANCH_REQUEST for line in run.world.transcript)
+    assert all(peer.state.requests == {} for peer in run.world.peers.values())
+
+
+def test_fig5a_builds_channels_only_where_a_routed_request_arrived(monkeypatch):
+    reached, receive = set(), sim.receive_branch_request
+
+    def tapped(world, peer, payload):
+        reached.add((peer.name, canonical_decode(payload)[1]))
+        receive(world, peer, payload)
+
+    monkeypatch.setattr(sim, "receive_branch_request", tapped)
+    with open(os.path.join(os.path.dirname(__file__), "..", "scenarios", "fig5a.json")) as fh:
+        runner = Runner(parse_scenario(fh.read()))
+    runner.run()
+    built = {(name, branch_id) for name, peer in runner.world.peers.items() for branch_id in peer.state.requests}
+    assert reached and built == reached
+    assert sum(len(peer.state.branches) for peer in runner.world.peers.values()) > len(built)
 
 
 # -- gossip deltas ------------------------------------------------------------------
