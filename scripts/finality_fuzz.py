@@ -3,7 +3,8 @@
 never rewritten and that identical seeds reproduce identical transcripts.
 It also prints the gossip payload bytes built per transcript event, the
 records shipped per unique record shipped, the header texts written, and
-the transcript events per CPU second in each quarter of the run.
+for each quarter of the run the transcript events per CPU second and the
+proofs that contributor derivations checked.
 
     python3 scripts/finality_fuzz.py [--events 10000] [--seed 42] [--determinism]
 """
@@ -17,6 +18,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 
 import lakat.sim as sim  # noqa: E402
+import lakat.state as state  # noqa: E402
 from lakat.branch import Branch  # noqa: E402
 from lakat.codec import canonical_decode  # noqa: E402
 from fuzz_driver import FuzzRun, state_digest  # noqa: E402
@@ -41,21 +43,37 @@ def tap_gossip() -> dict:
     return tap
 
 
-def run_by_quarters(seed: int, events: int) -> tuple:
+def tap_derivations() -> dict:
+    """Wrap state.derive_contributors: the returned dict counts the proofs
+    that contributor derivations checked ("proofs")."""
+    tap, derive = {"proofs": 0}, state.derive_contributors
+
+    def counted(branch, proofs, store, evidence=None):
+        proofs = list(proofs)
+        tap["proofs"] += len(proofs)
+        return derive(branch, proofs, store, evidence=evidence)
+
+    state.derive_contributors = counted
+    return tap
+
+
+def run_by_quarters(seed: int, events: int, derivations: dict) -> tuple:
     """FuzzRun(seed).run(events), stepped to each quarter of the events; also
-    returns the transcript events per CPU second of each quarter (the last
-    one includes the final drain)."""
-    run, rates = FuzzRun(seed), []
+    returns, for each quarter, the transcript events per CPU second and the
+    proofs checked as counted by the tap_derivations dict (the last quarter
+    includes the final drain)."""
+    run, rates, checked = FuzzRun(seed), [], []
     run.setup()
     for quarter in range(1, 5):
-        begin, cpu = len(run.world.transcript), time.process_time()
+        begin, cpu, proofs = len(run.world.transcript), time.process_time(), derivations["proofs"]
         while len(run.world.transcript) < events * quarter // 4:
             run.step()
         if quarter == 4:
             run.world.run_until_quiescent()
             run._check_prefixes()
         rates.append((len(run.world.transcript) - begin) / max(time.process_time() - cpu, 1e-9))
-    return run, rates
+        checked.append(derivations["proofs"] - proofs)
+    return run, rates, checked
 
 
 def main():
@@ -66,9 +84,9 @@ def main():
                         help="run twice and compare transcript hashes")
     args = parser.parse_args()
 
-    tap = tap_gossip()
+    tap, derivations = tap_gossip(), tap_derivations()
     start = time.perf_counter()
-    run, rates = run_by_quarters(args.seed, args.events)
+    run, rates, checked = run_by_quarters(args.seed, args.events, derivations)
     elapsed = time.perf_counter() - start
     payloads, tap["payloads"], headers_written = tap["payloads"], [], tap["headers"]
     gossip_bytes, shipped, unique = sum(map(len, payloads)), 0, set()
@@ -87,7 +105,8 @@ def main():
     print(f"gossip payload bytes per event: {gossip_bytes / len(run.world.transcript):.0f}  "
           f"records shipped per unique record: {shipped / max(len(unique), 1):.2f}  "
           f"header texts written: {headers_written}")
-    print("events per CPU second by quarter: " + " ".join(f"{rate:.0f}" for rate in rates))
+    print("events per CPU second by quarter: " + " ".join(f"{rate:.0f}" for rate in rates) + "  "
+          "proofs checked by contributor derivations by quarter: " + " ".join(map(str, checked)))
     print(f"transcript hash: {run.world.transcript_hash()}")
     print(f"state digest: {state_digest(run.world)}")
     ok = not run.violations and converged

@@ -376,8 +376,11 @@ class ContributorSet:
     def add(self, kind: str, key: bytes):
         self.kind(kind).setdefault(key, [])
 
-    def has(self, key: bytes, kind: str | None = None) -> bool:
-        return any(key in self.kind(k) for k in ((kind,) if kind else self.KINDS))
+    def has(self, key: bytes, kind: str | tuple | None = None) -> bool:
+        """Whether key is a contributor of kind: one kind, any kind of a
+        tuple, or any kind at all (None)."""
+        kinds = self.KINDS if kind is None else (kind,) if isinstance(kind, str) else kind
+        return any(key in self.kind(k) for k in kinds)
 
     def keys(self, kind: str) -> set:
         return set(self.kind(kind))
@@ -391,8 +394,8 @@ class ContributorSet:
     def update(self, other: "ContributorSet"):
         """Ordered union in place: new keys follow the held ones, and each
         key's proofs follow its held proofs.  Proofs are not deduplicated:
-        a proof names its branch, so direct sets of different branches, the
-        only sets this unites, never share one."""
+        a proof names its branch, so direct sets of different branches never
+        share one, and a direct set grows only by proofs it did not hold."""
         for name in self.KINDS:
             mine = self.kind(name)
             for key, proofs in other.kind(name).items():

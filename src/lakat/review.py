@@ -69,7 +69,7 @@ def twig_push(state: ProtocolState, twig_id: ContentId, submit: Submit, author: 
         return Verdict.fail("unknown-branch"), None
     if branch.branch_type != TWIG:
         return Verdict.fail("not-a-twig", branch.branch_type), None
-    allowed = state.is_contributor(twig_id, author, "content") or state.is_contributor(twig_id, author, "review")
+    allowed = state.is_contributor(twig_id, author, ("content", "review"))
     if not allowed and _is_commitment_carrier(state, submit, author):
         allowed = True
     if not allowed:

@@ -8,7 +8,8 @@ proper branch heads move only through the lignification walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import islice
 
 from .codec import ContentId, LogicalTimestamp, NULL_ID
 from .identity import ContributionProof, KeyIdentity
@@ -25,6 +26,7 @@ from .branch import (
     Branch,
     BranchConfig,
     ContributorSet,
+    Evidence,
     Submit,
     SubmitTrace,
     _merge_index,
@@ -52,6 +54,25 @@ class Verdict:
 OK = Verdict(True)
 
 
+@dataclass
+class _Direct:
+    """A branch's direct set, the token list, accepted kinds, head, proof
+    count and evidence it was derived at, and what extends it: back, the
+    (arrival index, proof) pairs refused only for their evidence; last, the
+    arrival index of the last accepted proof; attested, whether an accepted
+    proof rests on a storage attestation, which a later trie can drop."""
+
+    tokens: tuple
+    kinds: tuple
+    head: ContentId = NULL_ID
+    count: int = 0
+    evidence: Evidence | None = None
+    direct: ContributorSet | None = None  # set by the first _admit
+    back: list = field(default_factory=list)
+    last: int = -1
+    attested: bool = False
+
+
 class ProtocolState:
     """A peer's stores, branches, proofs, wraps, and request channels, built
     per branch on first use."""
@@ -65,9 +86,9 @@ class ProtocolState:
         self.spent: set[ContentId] = set()  # sprouts absorbed by donation
         self.requests: dict[ContentId, BranchRequests] = {}  # built by requests_for on first use
         self.touched: set[ContentId] = set()  # branches changed since the last gossip flush
-        # derived state of contributors() keyed by branch and revalidated by
-        # key; what is keyed by content id is memoised in the store
-        self._direct: dict[ContentId, tuple] = {}  # branch -> (key, direct set, evidence)
+        # derived state of contributors() per branch (_direct_set); what is
+        # keyed by content id is memoised in the store
+        self._direct: dict[ContentId, _Direct] = {}
 
     # -- registration ------------------------------------------------------
 
@@ -109,10 +130,11 @@ class ProtocolState:
                 result.add("content", creator)
         return result
 
-    def is_contributor(self, branch_id: ContentId, key: bytes, kind: str | None = None) -> bool:
+    def is_contributor(self, branch_id: ContentId, key: bytes, kind: str | tuple | None = None) -> bool:
         """contributors(branch_id).has(key, kind), walking only as far as the
-        first reachable branch that names the key."""
-        wraps = kind in (None, "content")
+        first reachable branch that names the key; a wrap creator counts as
+        a content contributor."""
+        wraps = kind is None or "content" in ((kind,) if isinstance(kind, str) else kind)
         return any(direct.has(key, kind) or (wraps and creator == key) for direct, creator in self._reach(branch_id))
 
     def content_entry(self, branch_id: ContentId, key: bytes) -> list | None:
@@ -139,12 +161,13 @@ class ProtocolState:
         lies in root..head (derive_contributors); it is derived when the walk
         reaches it, so a caller that stops early derives no more.
 
-        Derived state follows what changed: the direct set per branch, keyed
-        on (stable head, token list, accepted proof kinds, proof count); the
-        evidence per branch, extended while its head descends, its belt
-        closures walked only when a proof misses root..head; and, in the
-        store, the merge index per head, which names both the merged belts
-        and the pull-request pairs, and the attestation ids per trie node."""
+        Derived state follows what changed: the direct set per branch, grown
+        by its new and held-back proofs while its head descends
+        (_direct_set); the evidence per branch, extended while its head
+        descends, its belt closures walked only when a proof misses
+        root..head; and, in the store, the merge index per head, which names
+        both the merged belts and the pull-request pairs, and the
+        attestation ids per trie node."""
         branches, store = self.branches, self.store
         visited = set()
         stack = [branch_id]
@@ -164,16 +187,59 @@ class ProtocolState:
             stack.extend(reversed(reached))
 
     def _direct_set(self, branch: Branch) -> ContributorSet:
+        """The branch's direct set, held until its head, token list, accepted
+        kinds or proof count moves.  While the head descends and the token
+        list and accepted kinds hold, the held set is extended in place
+        (_admit); any other move derives it in full.  _reach is its only
+        reader, and nothing keeps it."""
         branch_id = branch.branch_id
         proofs = self.proofs.get(branch_id, ())
-        key = (branch.stable_head, tuple(branch.branch_token), branch.config.accepted_proofs, len(proofs))
+        tokens, kinds = tuple(branch.branch_token), branch.config.accepted_proofs
         held = self._direct.get(branch_id)
-        if held is not None and held[0] == key:
-            return held[1]
-        evidence = collect_evidence(branch, self.store, held and held[2])
-        direct = derive_contributors(branch, proofs, self.store, evidence=evidence)
-        self._direct[branch_id] = (key, direct, evidence)
-        return direct
+        same = held is not None and held.tokens == tokens and held.kinds == kinds
+        if same and held.head == branch.stable_head and held.count == len(proofs):
+            return held.direct
+        evidence = collect_evidence(branch, self.store, held and held.evidence)
+        if not (same and evidence.records is held.evidence.records
+                and self._admit(held, branch, proofs, evidence)):
+            held = self._direct[branch_id] = _Direct(tokens, kinds)
+            self._admit(held, branch, proofs, evidence)
+        return held.direct
+
+    def _admit(self, held: _Direct, branch: Branch, proofs, evidence: Evidence) -> bool:
+        """Extend held by what derive_contributors accepts of the proofs added
+        since and, when the head moved, of the held-back proofs, appended in
+        arrival order; proofs refused for their branch, kind or signature
+        stay refused.  False when held rests on a storage attestation or an
+        accepted proof arrived before one already held: then only a full
+        derivation gives the evidence and the order of a fresh one."""
+        if held.attested:
+            return False
+        moved = branch.stable_head != held.head  # else the evidence is what refused the held-back proofs
+        fresh = list(enumerate(islice(proofs, held.count, None), held.count))
+        candidates = held.back + fresh if moved else fresh
+        found = derive_contributors(branch, [proof for _, proof in candidates], self.store, evidence=evidence)
+        accepted = {id(proof) for kind in ContributorSet.KINDS for listed in found.kind(kind).values()
+                    for proof in listed}
+        back, last, attested = [] if moved else held.back[:], held.last, False
+        for index, proof in candidates:
+            if id(proof) in accepted:
+                if index < held.last:
+                    return False
+                last = index
+                attested = attested or (bool(evidence.attestations)  # read only when a lookup missed
+                                        and proof.evidence not in evidence.records
+                                        and proof.evidence not in evidence.tokens)
+            elif (proof.branch_id == branch.branch_id and proof.kind in ContributorSet.KINDS
+                  and proof.kind in held.kinds and proof.evidence not in evidence):
+                back.append((index, proof))
+        if held.last < 0:  # nothing accepted yet: the held set is empty
+            held.direct = found
+        else:
+            held.direct.update(found)
+        held.head, held.count, held.evidence = branch.stable_head, len(proofs), evidence
+        held.back, held.last, held.attested = back, last, attested
+        return True
 
     # -- submit appending --------------------------------------------------
 

@@ -3,18 +3,23 @@ reference: the recursive union that recomputes every direct set, evidence
 closure and pull-request scan on each call.  Both must agree on the keys of
 each kind, their order, and every proof list, after every action; and the
 queries that stop early (is_contributor, content_entry) must answer what the
-reference union answers."""
+reference union answers.  Held direct sets, which grow by their new and
+held-back proofs, must equal a fresh derive_contributors; and the one-call
+push check must decide as two calls did."""
 
-from lakat.branch import ContributorSet, collect_evidence, get_submit, submit_history, submit_id
+from dataclasses import replace
+
+from lakat.branch import (ContributorSet, Submit, SubmitTrace, collect_evidence, derive_contributors, get_submit,
+                          submit_history, submit_id)
 from lakat.bucket import InfoDelta, make_storage_attestation
 from lakat.codec import NULL_ID, content_id, object_id
-from lakat.identity import KeyIdentity, make_contribution_proof
+from lakat.identity import ContributionProof, KeyIdentity, make_contribution_proof
 from lakat.lignify import lignify, wrap_merge_in_sprout
 from lakat.ops import create_genesis_branch, create_rooted_branch, execute_merge, plan_merge
 from lakat.review import commit_review, create_pull_request, submit_review, twig_push
 from lakat.state import ProtocolState, build_content_submit
 from lakat.store import MemoryStore
-from lakat import trie as trie_mod
+from lakat import state as state_mod, trie as trie_mod
 
 from conftest import proper_config, tick, twig_config
 from fuzz_driver import FuzzRun, churn_schedule
@@ -271,3 +276,253 @@ def test_contributors_match_reference_through_c7_flow():
     state.branches[quiet_belt.branch_id].stable_head = quiet_work
     assert bob.public_key not in state.contributors(quiet_core.branch_id).content
     check()
+
+
+# -- held direct sets grow by their new and held-back proofs ---------------
+
+
+def _fresh(state, branch) -> tuple:
+    return _ordered(derive_contributors(branch, state.proofs.get(branch.branch_id, ()), state.store))
+
+
+def assert_direct_sets_fresh(state: ProtocolState) -> int:
+    for branch in state.branches.values():
+        assert _ordered(state._direct_set(branch)) == _fresh(state, branch), branch.branch_id.hex[:10]
+    return len(state.branches)
+
+
+def _derivations(monkeypatch) -> list:
+    """Wrap state.derive_contributors; the returned list gets (branch id,
+    proofs checked) for each call."""
+    calls, derive = [], state_mod.derive_contributors
+
+    def counted(branch, proofs, store, evidence=None):
+        proofs = list(proofs)
+        calls.append((branch.branch_id, len(proofs)))
+        return derive(branch, proofs, store, evidence=evidence)
+
+    monkeypatch.setattr(state_mod, "derive_contributors", counted)
+    return calls
+
+
+def _admissions(monkeypatch) -> list:
+    """Wrap ProtocolState._admit; the returned list gets (proofs held, proofs
+    held back, admitted) for each call."""
+    calls, admit = [], ProtocolState._admit
+
+    def counted(state, held, branch, proofs, evidence):
+        before = (held.count, len(held.back))
+        admitted = admit(state, held, branch, proofs, evidence)
+        calls.append(before + (admitted,))
+        return admitted
+
+    monkeypatch.setattr(ProtocolState, "_admit", counted)
+    return calls
+
+
+def _check_direct_sets(monkeypatch, run: FuzzRun, events: int, every: int = 50) -> list:
+    """Step the run, comparing every held direct set with a fresh derivation
+    every `every` events and at the end; between checkpoints only the
+    engine's own queries derive.  Returns the _admit calls of the run."""
+    calls = _admissions(monkeypatch)
+    run.setup()
+    checkpoint = every
+    while len(run.world.transcript) < events:
+        run.step()
+        if len(run.world.transcript) >= checkpoint:
+            checkpoint += every
+            for peer in run.world.peers.values():
+                assert_direct_sets_fresh(peer.state)
+    run.world.run_until_quiescent()
+    for peer in run.world.peers.values():
+        assert_direct_sets_fresh(peer.state)
+    # most derivations extend a held set, some retrying held-back proofs
+    extended = [call for call in calls if call[0] and call[2]]
+    assert len(extended) > len(calls) // 2 and any(back for _, back, _ in extended)
+    return calls
+
+
+def test_direct_sets_match_fresh_derivation_through_fuzz_run(monkeypatch):
+    _check_direct_sets(monkeypatch, FuzzRun(7), 400)
+
+
+def test_direct_sets_match_fresh_derivation_through_churn_run(monkeypatch):
+    run = FuzzRun(3, churn_schedule(3))
+    _check_direct_sets(monkeypatch, run, 600)
+    assert any(" schedule " in line for line in run.world.transcript)
+
+
+def _twig_state():
+    """A core owned by alice and bob's twig on it, with bob's proof on its
+    initial head; returns (state, twig, (alice, bob, carol, dave, erin))."""
+    state = ProtocolState(MemoryStore())
+    people = tuple(KeyIdentity.from_seed(name) for name in (b"alice", b"bob", b"carol", b"dave", b"erin"))
+    alice, bob = people[:2]
+    core = create_genesis_branch(state, proper_config(), alice, tick(0))
+    twig = create_rooted_branch(state, core.stable_head, core.branch_id, bob, tick(1), twig_config())
+    return state, twig, people
+
+
+def _unpushed(state, twig, author, payload, at):
+    """A submit on the twig's head, built and not yet pushed, and its id."""
+    submit = build_content_submit(state, twig, author, "content", tick(at), [payload])
+    return submit, submit_id(submit)
+
+
+def test_late_evidence_admits_a_held_back_proof_in_arrival_order(monkeypatch):
+    state, twig, (_, bob, carol, _, _) = _twig_state()
+    submit, cid = _unpushed(state, twig, bob, b"later", 2)
+    state.add_proof(make_contribution_proof(carol, twig.branch_id, "content", cid))
+    assert list(state._direct_set(twig).content) == [bob.public_key]
+    assert [index for index, _ in state._direct[twig.branch_id].back] == [1]
+    calls = _derivations(monkeypatch)
+    assert twig_push(state, twig.branch_id, submit, bob.public_key)[0].ok
+    assert list(state._direct_set(twig).content) == [bob.public_key, carol.public_key]
+    assert _ordered(state._direct_set(twig)) == _fresh(state, twig)
+    assert calls[-1] == (twig.branch_id, 1)  # the held-back proof, and no other
+    assert state._direct[twig.branch_id].back == []
+
+
+def test_held_back_proof_behind_an_accepted_one_derives_in_full(monkeypatch):
+    state, twig, (_, bob, carol, dave, _) = _twig_state()
+    submit, cid = _unpushed(state, twig, bob, b"later", 2)
+    state.add_proof(make_contribution_proof(carol, twig.branch_id, "content", cid))
+    state._direct_set(twig)
+    state.add_proof(make_contribution_proof(dave, twig.branch_id, "content", twig.initial_head))
+    assert list(state._direct_set(twig).content) == [bob.public_key, dave.public_key]
+    calls = _derivations(monkeypatch)
+    assert twig_push(state, twig.branch_id, submit, bob.public_key)[0].ok
+    # carol's proof arrived before dave's: appended, it would follow dave
+    assert list(state._direct_set(twig).content) == [bob.public_key, carol.public_key, dave.public_key]
+    assert _ordered(state._direct_set(twig)) == _fresh(state, twig)
+    assert calls[-2:] == [(twig.branch_id, 1), (twig.branch_id, 3)]
+
+
+def test_head_that_leaves_its_descent_derives_in_full(monkeypatch):
+    state, twig, (_, bob, carol, _, _) = _twig_state()
+    first = _push(state, twig, bob, b"first", 2)
+    state.add_proof(make_contribution_proof(carol, twig.branch_id, "content", first))
+    assert carol.public_key in state._direct_set(twig).content
+    calls = _derivations(monkeypatch)
+    twig.stable_head = twig.initial_head  # a rewind drops the evidence above it
+    assert carol.public_key not in state._direct_set(twig).content
+    assert calls[-1] == (twig.branch_id, 3)
+    assert _ordered(state._direct_set(twig)) == _fresh(state, twig)
+    twig.stable_head = first
+    state._direct_set(twig)
+    sibling = state.store.put_object(Submit(twig.initial_head, "rebased", get_submit(state.store, first).trie_root,
+                                            SubmitTrace(), tick(3)))
+    twig.stable_head = sibling  # a rebased head does not descend from the held one
+    assert carol.public_key not in state._direct_set(twig).content
+    assert calls[-1] == (twig.branch_id, 3)
+    assert _ordered(state._direct_set(twig)) == _fresh(state, twig)
+
+
+def test_token_or_kind_change_derives_in_full(monkeypatch):
+    state, twig, (_, bob, carol, dave, _) = _twig_state()
+    token = b"token-attestation"
+    state.add_proof(make_contribution_proof(dave, twig.branch_id, "token", content_id(token)))
+    state.add_proof(make_contribution_proof(carol, twig.branch_id, "content", twig.initial_head))
+    assert not state._direct_set(twig).token
+    calls = _derivations(monkeypatch)
+    twig.branch_token.append(token)
+    assert list(state._direct_set(twig).token) == [dave.public_key]
+    assert calls[-1] == (twig.branch_id, 3)
+    assert _ordered(state._direct_set(twig)) == _fresh(state, twig)
+    twig.config = replace(twig.config, accepted_proofs=("content",))
+    assert not state._direct_set(twig).token
+    assert calls[-1] == (twig.branch_id, 3)
+    assert _ordered(state._direct_set(twig)) == _fresh(state, twig)
+
+
+def test_proof_on_a_storage_attestation_derives_in_full(monkeypatch):
+    state, twig, (_, bob, _, _, erin) = _twig_state()
+    before = get_submit(state.store, twig.stable_head).trie_root
+    work = _push(state, twig, bob, b"stored", 2)
+    bucket = get_submit(state.store, work).submit_trace.new_buckets[0]
+    attestation = make_storage_attestation(erin, bucket, tick(3))
+    attach = build_content_submit(state, twig, bob, "attach", tick(3),
+                                  attachments=[(bucket, InfoDelta(storage_proofs=(attestation,)))])
+    assert twig_push(state, twig.branch_id, attach, bob.public_key)[0].ok
+    state.add_proof(make_contribution_proof(erin, twig.branch_id, "storage", object_id(attestation)))
+    assert list(state._direct_set(twig).storage) == [erin.public_key]
+    assert state._direct[twig.branch_id].attested
+    calls = _derivations(monkeypatch)
+    # a descending head whose trie no longer holds the attestation
+    dropped = Submit(twig.stable_head, "drop", before, SubmitTrace(), tick(4))
+    assert twig_push(state, twig.branch_id, dropped, bob.public_key)[0].ok
+    assert not state._direct_set(twig).storage
+    assert calls[-1] == (twig.branch_id, len(state.proofs[twig.branch_id]))
+    assert _ordered(state._direct_set(twig)) == _fresh(state, twig)
+
+
+def test_refused_signature_or_kind_is_not_retried(monkeypatch):
+    state, twig, (_, bob, carol, dave, _) = _twig_state()
+    forged = make_contribution_proof(dave, twig.branch_id, "content", twig.initial_head)
+    state.add_proof(ContributionProof(carol.public_key, twig.branch_id, "content", twig.initial_head, forged.signature))
+    state.add_proof(make_contribution_proof(dave, twig.branch_id, "time", twig.initial_head))
+    # a forged proof on evidence still to come waits for it, then stays refused
+    submit, cid = _unpushed(state, twig, bob, b"later", 2)
+    state.add_proof(ContributionProof(carol.public_key, twig.branch_id, "content", cid, forged.signature))
+    assert list(state._direct_set(twig).content) == [bob.public_key]
+    assert [index for index, _ in state._direct[twig.branch_id].back] == [3]
+    calls = _derivations(monkeypatch)
+    assert twig_push(state, twig.branch_id, submit, bob.public_key)[0].ok
+    state._direct_set(twig)
+    assert state._direct[twig.branch_id].back == []
+    state.add_proof(make_contribution_proof(dave, twig.branch_id, "content", cid))
+    assert list(state._direct_set(twig).content) == [bob.public_key, dave.public_key]
+    assert calls == [(twig.branch_id, 1), (twig.branch_id, 1)]
+    assert _ordered(state._direct_set(twig)) == _fresh(state, twig)
+
+
+# -- one reach walk per push ------------------------------------------------
+
+
+def _two_call_form(state, branch_id, key) -> bool:
+    """twig_push's check as two single-kind walks, each in the form
+    is_contributor had before it took a tuple of kinds."""
+    def one_kind(kind):
+        wraps = kind in (None, "content")
+        return any(direct.has(key, kind) or (wraps and creator == key)
+                   for direct, creator in state._reach(branch_id))
+    return one_kind("content") or one_kind("review")
+
+
+def _check_pushes(monkeypatch, run: FuzzRun, events: int) -> list:
+    decided, ask = [], ProtocolState.is_contributor
+
+    def checking(state, branch_id, key, kind=None):
+        answer = ask(state, branch_id, key, kind)
+        if kind == ("content", "review"):
+            assert answer == _two_call_form(state, branch_id, key), branch_id.hex[:10]
+            decided.append(answer)
+        return answer
+
+    monkeypatch.setattr(ProtocolState, "is_contributor", checking)
+    run.run(events)
+    return decided
+
+
+def test_push_check_decides_as_two_calls_through_fuzz_run(monkeypatch):
+    decided = _check_pushes(monkeypatch, FuzzRun(7), 400)
+    assert True in decided and False in decided  # commitment carriers enter on their commitments
+
+
+def test_push_check_decides_as_two_calls_through_churn_run(monkeypatch):
+    decided = _check_pushes(monkeypatch, FuzzRun(3, churn_schedule(3)), 600)
+    assert True in decided and False in decided
+
+
+def test_wrap_creator_counts_only_for_content():
+    state, twig, (alice, bob, _, _, erin) = _twig_state()
+    core_id = twig.parent_branch
+    core = state.branches[core_id]
+    merge = state.store.put_object(Submit(core.stable_head, "merge", get_submit(state.store, core.stable_head).trie_root,
+                                          SubmitTrace(), tick(2)))
+    sprout = wrap_merge_in_sprout(state, merge, erin.public_key, twig.branch_id, core_id, tick(2)).sprout
+    for kind, expected in [(None, True), ("content", True), (("content",), True), (("review", "content"), True),
+                           ("review", False), (("review", "token"), False), (("storage",), False)]:
+        assert state.is_contributor(sprout, erin.public_key, kind) == expected, kind
+    assert state.is_contributor(sprout, bob.public_key, ("review", "content"))  # through the requesting twig
+    assert not state.is_contributor(sprout, bob.public_key, ("review", "token"))

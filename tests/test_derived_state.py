@@ -1,6 +1,7 @@
 """Derived state that follows what changed, checked against recomputation:
 the touched-branch marks behind gossip flushes, the merge index built from
-parent and belt-tip entries, and the contributor walk late in a history."""
+parent and belt-tip entries, the contributor walk late in a history, and the
+proofs that the core's direct set checks per write."""
 
 import collections
 import os
@@ -8,20 +9,23 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lakat.branch import PullRequestTrace, Submit, SubmitTrace, collect_evidence, included_submits
-from lakat.identity import KeyIdentity
-from lakat.ops import create_genesis_branch, create_rooted_branch
+from lakat.branch import PullRequestTrace, Submit, SubmitTrace, collect_evidence, included_submits, submit_id
+from lakat.identity import KeyIdentity, make_contribution_proof
+from lakat.lignify import lignify, wrap_merge_in_sprout
+from lakat.ops import create_genesis_branch, create_rooted_branch, execute_merge, plan_merge
+from lakat.review import commit_review, create_pull_request, submit_review, twig_push
 from lakat.codec import CodecError, LogicalTimestamp, NULL_ID, content_id
 from lakat.scenario import Runner, parse_scenario
 from lakat.sim import World
-from lakat.state import ProtocolState
+from lakat.state import ProtocolState, build_content_submit
 from lakat.store import MemoryStore
 from lakat import branch as branch_mod, lignify as lignify_mod, ops as ops_mod, scenario as scenario_mod
+from lakat import state as state_mod
 
 import fuzz_driver
-from conftest import tick, twig_config
+from conftest import proper_config, tick, twig_config
 from fuzz_driver import FuzzRun
-from test_contributors import _push, assert_matches_reference
+from test_contributors import _ordered, _push, assert_matches_reference
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -186,3 +190,60 @@ def test_contributors_match_reference_after_ten_merges():
     run.world.run_until_quiescent()
     for peer in run.world.peers.values():
         assert assert_matches_reference(peer.state) >= 10
+
+
+WINDOWS = dict(lignification_time=0, engagement_time=0, broadcasting_buffer=0)
+
+
+def _library_write(state, core_id, pending, owner, author, at, pushes):
+    """One contribution cycle in the shape of perfbench's library: a twig,
+    `pushes` pushes of two payloads, a pull request, the owner's commitment
+    and review, and a merge wrapped in a sprout rooted at the pending sprout,
+    whose head the walk donates to the core.  Returns the new sprout."""
+    core = state.branches[core_id]
+    twig = create_rooted_branch(state, core.stable_head, core_id, author, tick(at), twig_config(**WINDOWS))
+    for push in range(pushes):
+        payloads = [b"library %d:%d:%d" % (at, push, n) for n in range(2)]
+        submit = build_content_submit(state, state.branches[twig.branch_id], author, "content", tick(at), payloads)
+        verdict, cid = twig_push(state, twig.branch_id, submit, author.public_key)
+        assert verdict.ok, verdict
+        state.add_proof(make_contribution_proof(author, twig.branch_id, "content", cid))
+    pr, _ = create_pull_request(state, twig.branch_id, twig.branch_id, core_id, author, tick(at))
+    assert commit_review(state, pr, owner, tick(at)).ok
+    assert submit_review(state, pr, owner, "accept", b"reviewed", tick(at))[0].ok
+    root_at = pending or core_id
+    cid = submit_id(execute_merge(state, plan_merge(state, core_id, twig.branch_id, pr, root_at), owner, tick(at)))
+    sprout = wrap_merge_in_sprout(state, cid, owner.public_key, twig.branch_id, root_at, tick(at)).sprout
+    lignify(state, core_id, cid, now=tick(at))
+    return sprout
+
+
+def test_core_direct_set_checks_only_new_and_held_back_proofs(monkeypatch):
+    """After a library-shaped corpus, each of 100 further writes derives the
+    core's direct set from its new proofs and its held-back ones (the latest
+    merge proof, whose merge the next write donates), never from them all."""
+    state = ProtocolState(MemoryStore())
+    owner, author = KeyIdentity.from_seed(b"library-owner"), KeyIdentity.from_seed(b"library-author")
+    core_id = create_genesis_branch(state, proper_config(**WINDOWS), owner, tick(0)).branch_id
+    pending = None
+    for at in range(1, 9):
+        pending = _library_write(state, core_id, pending, owner, author, at, 5)
+    checked, derive = [], state_mod.derive_contributors
+
+    def counted(branch, proofs, store, evidence=None):
+        proofs = list(proofs)
+        if branch.branch_id == core_id:
+            held = state._direct[core_id]
+            total = len(state.proofs[core_id])
+            checked.append((len(proofs), total - held.count + len(held.back), total))
+        return derive(branch, proofs, store, evidence=evidence)
+
+    monkeypatch.setattr(state_mod, "derive_contributors", counted)
+    for at in range(9, 109):
+        pending = _library_write(state, core_id, pending, owner, author, at, 2)
+    assert len(checked) >= 100
+    assert all(count <= new_and_back < total for count, new_and_back, total in checked), checked
+    assert sum(count for count, _, _ in checked) <= 2 * len(checked)
+    core = state.branches[core_id]
+    assert len(state.proofs[core_id]) > 100
+    assert _ordered(state._direct_set(core)) == _ordered(derive(core, state.proofs[core_id], state.store))
